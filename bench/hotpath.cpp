@@ -1,6 +1,6 @@
 // Flow hot-path throughput — wall time of the two per-minute serving-path
 // kernels after the flat-container rewrite, against the pre-rewrite
-// implementations embedded here as baselines:
+// implementations kept in tests/oracles/legacy_flow.hpp as baselines:
 //
 //   flowcache   sampled-packet ingestion + minute drain. Baseline: the
 //               node-based std::unordered_map cache with an explicit
@@ -29,19 +29,17 @@
 // overwrite the trajectory).
 
 #include <algorithm>
-#include <array>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <limits>
-#include <map>
 #include <span>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "../bench/common.hpp"
+#include "../tests/oracles/legacy_flow.hpp"
 #include "core/aggregator.hpp"
 #include "net/packet.hpp"
 #include "util/rng.hpp"
@@ -56,203 +54,6 @@ void expect(bool ok, const char* what) {
   if (ok) return;
   ++failures;
   std::fprintf(stderr, "FAIL: %s\n", what);
-}
-
-// --------------------------------------------------------------------------
-// Baseline 1: the pre-rewrite FlowCache (node map + order counter).
-// --------------------------------------------------------------------------
-
-class BaselineFlowCache {
- public:
-  explicit BaselineFlowCache(std::uint32_t sampling_rate)
-      : sampling_rate_(sampling_rate) {}
-
-  void add(const net::PacketHeader& packet) {
-    net::FlowKey key;
-    key.minute = static_cast<std::uint32_t>(packet.timestamp_ms / 60000);
-    key.src_ip = packet.src_ip.value();
-    key.dst_ip = packet.dst_ip.value();
-    key.src_port = packet.src_port;
-    key.dst_port = packet.dst_port;
-    key.protocol = packet.protocol;
-    key.member = packet.ingress_member;
-    auto [it, inserted] = cache_.try_emplace(key);
-    if (inserted) it->second.order = next_order_++;
-    it->second.packets += 1;
-    it->second.bytes += packet.length;
-    it->second.tcp_flags |= packet.tcp_flags;
-  }
-
-  [[nodiscard]] std::vector<net::FlowRecord> drain_before(std::uint32_t minute) {
-    std::vector<std::pair<std::uint64_t, net::FlowRecord>> drained;
-    for (auto it = cache_.begin(); it != cache_.end();) {
-      if (it->first.minute < minute) {
-        net::FlowRecord flow;
-        flow.minute = it->first.minute;
-        flow.src_ip = net::Ipv4Address(it->first.src_ip);
-        flow.dst_ip = net::Ipv4Address(it->first.dst_ip);
-        flow.src_port = it->first.src_port;
-        flow.dst_port = it->first.dst_port;
-        flow.protocol = it->first.protocol;
-        flow.tcp_flags = it->second.tcp_flags;
-        flow.src_member = it->first.member;
-        flow.packets =
-            static_cast<std::uint32_t>(it->second.packets * sampling_rate_);
-        flow.bytes = it->second.bytes * sampling_rate_;
-        drained.emplace_back(it->second.order, flow);
-        it = cache_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-    std::sort(drained.begin(), drained.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-    std::vector<net::FlowRecord> out;
-    out.reserve(drained.size());
-    for (auto& [order, flow] : drained) out.push_back(flow);
-    return out;
-  }
-
- private:
-  struct Counters {
-    std::uint64_t packets = 0;
-    std::uint64_t bytes = 0;
-    std::uint8_t tcp_flags = 0;
-    std::uint64_t order = 0;
-  };
-  std::uint32_t sampling_rate_;
-  std::uint64_t next_order_ = 0;
-  std::unordered_map<net::FlowKey, Counters, net::FlowKeyHash> cache_;
-};
-
-// --------------------------------------------------------------------------
-// Baseline 2: the pre-rewrite Aggregator::aggregate (std::map group-by,
-// fresh unordered_map tallies, full sort per ranking).
-// --------------------------------------------------------------------------
-
-enum class Categorical : std::size_t {
-  kSrcIp, kSrcPort, kDstPort, kSrcMember, kProtocol,
-};
-constexpr std::array<Categorical, 5> kCategoricals{
-    Categorical::kSrcIp, Categorical::kSrcPort, Categorical::kDstPort,
-    Categorical::kSrcMember, Categorical::kProtocol,
-};
-enum class Metric : std::size_t { kMeanPacketSize, kSumBytes, kSumPackets };
-constexpr std::array<Metric, 3> kMetrics{
-    Metric::kMeanPacketSize, Metric::kSumBytes, Metric::kSumPackets,
-};
-
-double categorical_value(const net::FlowRecord& flow, Categorical c) {
-  switch (c) {
-    case Categorical::kSrcIp: return static_cast<double>(flow.src_ip.value());
-    case Categorical::kSrcPort: return static_cast<double>(flow.src_port);
-    case Categorical::kDstPort: return static_cast<double>(flow.dst_port);
-    case Categorical::kSrcMember: return static_cast<double>(flow.src_member);
-    case Categorical::kProtocol: return static_cast<double>(flow.protocol);
-  }
-  return 0.0;
-}
-
-struct GroupMetrics {
-  std::uint64_t bytes = 0;
-  std::uint64_t packets = 0;
-  [[nodiscard]] double metric(Metric m) const {
-    switch (m) {
-      case Metric::kMeanPacketSize:
-        return packets == 0 ? 0.0
-                            : static_cast<double>(bytes) /
-                                  static_cast<double>(packets);
-      case Metric::kSumBytes: return static_cast<double>(bytes);
-      case Metric::kSumPackets: return static_cast<double>(packets);
-    }
-    return 0.0;
-  }
-};
-
-core::AggregatedDataset baseline_aggregate(
-    std::span<const net::FlowRecord> flows) {
-  core::AggregatedDataset out;
-  out.data = ml::Dataset(core::Aggregator::schema());
-
-  std::map<std::pair<std::uint32_t, std::uint32_t>, std::vector<std::size_t>>
-      groups;
-  for (std::size_t i = 0; i < flows.size(); ++i) {
-    groups[{flows[i].minute, flows[i].dst_ip.value()}].push_back(i);
-  }
-
-  const std::size_t width = out.data.n_cols();
-  std::vector<double> row(width);
-
-  for (const auto& [key, indices] : groups) {
-    std::fill(row.begin(), row.end(), ml::kMissing);
-    std::size_t column = 0;
-    for (const Categorical c : kCategoricals) {
-      std::unordered_map<std::uint64_t, GroupMetrics> by_value;
-      for (const std::size_t i : indices) {
-        const auto value =
-            static_cast<std::uint64_t>(categorical_value(flows[i], c));
-        auto& group = by_value[value];
-        group.bytes += flows[i].bytes;
-        group.packets += flows[i].packets;
-      }
-      for (const Metric m : kMetrics) {
-        std::vector<std::pair<double, std::uint64_t>> ranked;
-        ranked.reserve(by_value.size());
-        for (const auto& [value, metrics] : by_value)
-          ranked.emplace_back(metrics.metric(m), value);
-        std::sort(ranked.begin(), ranked.end(),
-                  [](const auto& a, const auto& b) {
-                    return a.first > b.first ||
-                           (a.first == b.first && a.second < b.second);
-                  });
-        for (std::size_t r = 0; r < core::kRanks; ++r) {
-          if (r < ranked.size()) {
-            row[column] = static_cast<double>(ranked[r].second);
-            row[column + 1] = ranked[r].first;
-          }
-          column += 2;
-        }
-      }
-    }
-
-    int label = 0;
-    for (const std::size_t i : indices) {
-      if (flows[i].blackholed) {
-        label = 1;
-        break;
-      }
-    }
-    out.data.add_row(row, label);
-
-    core::RecordMeta meta;
-    meta.minute = key.first;
-    meta.target = net::Ipv4Address(key.second);
-    meta.flow_count = static_cast<std::uint32_t>(indices.size());
-
-    std::unordered_map<std::size_t, std::uint64_t> vector_bytes;
-    std::uint64_t total_bytes = 0;
-    for (const std::size_t i : indices) {
-      total_bytes += flows[i].bytes;
-      if (const auto v = flows[i].vector()) {
-        vector_bytes[static_cast<std::size_t>(*v)] += flows[i].bytes;
-      }
-    }
-    if (!vector_bytes.empty()) {
-      std::size_t best = 0;
-      std::uint64_t best_bytes = 0;
-      for (const auto& [v, bytes] : vector_bytes) {
-        if (bytes > best_bytes || (bytes == best_bytes && v < best)) {
-          best = v;
-          best_bytes = bytes;
-        }
-      }
-      if (best_bytes * 4 >= total_bytes) {
-        meta.dominant_vector = static_cast<net::DdosVector>(best);
-      }
-    }
-    out.meta.push_back(std::move(meta));
-  }
-  return out;
 }
 
 // --------------------------------------------------------------------------
@@ -326,7 +127,7 @@ int main(int argc, char** argv) {
 
     std::vector<net::FlowRecord> baseline_flows;
     const double baseline_seconds = best_of([&] {
-      BaselineFlowCache cache(10);
+      oracle::LegacyFlowCache cache(10);
       for (const auto& packet : packets) cache.add(packet);
       baseline_flows = cache.drain_before(
           std::numeric_limits<std::uint32_t>::max());
@@ -411,7 +212,7 @@ int main(int argc, char** argv) {
     for (int rep = 0; rep < repeats; ++rep) {
       {
         util::Stopwatch sw;
-        baseline = baseline_aggregate(flows);
+        baseline = oracle::legacy_aggregate(flows);
         const double seconds = sw.seconds();
         if (rep == 0 || seconds < baseline_seconds) {
           baseline_seconds = seconds;

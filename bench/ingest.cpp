@@ -3,7 +3,7 @@
 // a {samples/datagram (= datagram size) x hostile fraction} sweep writing
 // BENCH_ingest.json.
 //
-// The oracle (SflowDatagram::decode) is the specification: it heap-
+// The oracle (tests/oracles/sflow_decode.hpp) is the specification: it heap-
 // allocates a datagram + sample vector per wire buffer and reports
 // malformed input with a C++ throw — exactly the per-packet costs a
 // hostile flood weaponizes. The in-place walk must decode the same bytes
@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "../bench/common.hpp"
+#include "../tests/oracles/sflow_decode.hpp"
 #include "net/sflow.hpp"
 #include "util/json.hpp"
 #include "util/rng.hpp"
@@ -111,13 +112,13 @@ PassTotals oracle_pass(const std::vector<std::vector<std::uint8_t>>& corpus) {
   PassTotals totals;
   for (const auto& wire : corpus) {
     try {
-      const net::SflowDatagram datagram = net::SflowDatagram::decode(wire);
+      const net::SflowDatagram datagram = oracle::decode_sflow(wire);
       ++totals.accepted;
       totals.samples += datagram.samples.size();
       for (const auto& sample : datagram.samples) {
         totals.checksum += sample.packet.dst_ip.value() + sample.packet.length;
       }
-    } catch (const net::SflowDecodeError&) {
+    } catch (const oracle::SflowDecodeError&) {
       ++totals.errors;
     }
   }
@@ -159,9 +160,9 @@ bool identical_on(const std::vector<std::vector<std::uint8_t>>& corpus) {
   for (const auto& wire : corpus) {
     Decoded oracle;
     try {
-      oracle.samples = net::SflowDatagram::decode(wire).samples;
+      oracle.samples = oracle::decode_sflow(wire).samples;
       oracle.accepted = true;
-    } catch (const net::SflowDecodeError&) {
+    } catch (const oracle::SflowDecodeError&) {
     }
     Decoded view;
     net::SflowHeaderView header;

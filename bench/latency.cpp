@@ -15,10 +15,11 @@
 //
 // Every lossless row is also an equivalence probe: the verdict stream
 // (every detection, formatted) and the flow/minute/sample counts must be
-// bit-identical to an in-process feed of the same trace — push(datagram)
-// with no wire in between. Any mismatch or conservation failure exits
-// non-zero. `--smoke` shrinks the sweep (CI-sized) while keeping the
-// equivalence assertion; that is the mode the perf-smoke CI job runs.
+// bit-identical to an in-process feed of the same trace — push_wire of the
+// same encoded bytes with no socket in between. Any mismatch or
+// conservation failure exits non-zero. `--smoke` shrinks the sweep
+// (CI-sized) while keeping the equivalence assertion; that is the mode the
+// perf-smoke CI job runs.
 
 #include <algorithm>
 #include <chrono>
@@ -86,25 +87,21 @@ struct Verdicts {
 };
 
 runtime::EngineConfig engine_config(std::size_t shards,
-                                    std::size_t batch_records, bool pooled) {
+                                    std::size_t batch_records) {
   runtime::EngineConfig config;
   config.shards = shards;
   config.queue_capacity = 4096;
   config.batch_records = batch_records;
   config.backpressure = runtime::Backpressure::kBlock;
   config.collector.sampling_rate = 4;
-  if (pooled) {
-    // Zero-allocation ingest: receivers scatter into pooled slots and the
-    // fused decode→route walks them in place (the production shape).
-    config.wire_pool_slots = 4096;
-    config.wire_slot_bytes = 8192;
-  }
   return config;
 }
 
-/// In-process reference: same trace, same engine/detector shape, no wire.
+/// In-process reference: same wire bytes, same engine/detector shape, no
+/// socket.
 Verdicts reference_verdicts(
-    const std::vector<net::SflowDatagram>& datagrams,
+    const std::vector<std::vector<std::uint8_t>>& wire,
+    const std::vector<std::uint32_t>& wire_minutes,
     const std::vector<std::pair<std::uint32_t, bgp::UpdateMessage>>& updates,
     std::size_t shards, std::size_t batch_records) {
   Verdicts verdicts;
@@ -114,20 +111,19 @@ Verdicts reference_verdicts(
                                     format_detection(detection));
                               });
   runtime::Engine engine(
-      engine_config(shards, batch_records, /*pooled=*/false),
+      engine_config(shards, batch_records),
       [&](std::uint32_t minute, std::span<const net::FlowRecord> flows) {
         detector.ingest_minute(minute, flows);
       });
   std::size_t next_update = 0;
-  for (const auto& datagram : datagrams) {
-    const auto minute = static_cast<std::uint32_t>(datagram.uptime_ms / 60'000);
+  for (std::size_t i = 0; i < wire.size(); ++i) {
     while (next_update < updates.size() &&
-           updates[next_update].first <= minute) {
+           updates[next_update].first <= wire_minutes[i]) {
       engine.push_bgp(updates[next_update].second,
                       std::uint64_t{updates[next_update].first} * 60'000);
       ++next_update;
     }
-    engine.push(datagram);
+    engine.push_wire(wire[i]);
   }
   engine.finish();
   const runtime::EngineSnapshot snapshot = engine.stats();
@@ -141,7 +137,6 @@ struct WireRow {
   double target_rate = 0.0;
   std::size_t batch_records = 0;
   std::size_t shards = 0;
-  bool pooled = false;
   bool advisory = false;
 
   // Wire-to-verdict latency: send() completing → the datagram's export
@@ -167,12 +162,11 @@ WireRow run_wire(
     const std::vector<std::uint32_t>& wire_minutes,
     const std::vector<std::pair<std::uint32_t, bgp::UpdateMessage>>& updates,
     const Verdicts& reference, double target_rate, std::size_t batch_records,
-    std::size_t shards, bool pooled, unsigned hardware) {
+    std::size_t shards, unsigned hardware) {
   WireRow row;
   row.target_rate = target_rate;
   row.batch_records = batch_records;
   row.shards = shards;
-  row.pooled = pooled;
   row.advisory = shards > hardware;
 
   Verdicts verdicts;
@@ -185,7 +179,7 @@ WireRow run_wire(
                                     format_detection(detection));
                               });
   runtime::Engine engine(
-      engine_config(shards, batch_records, pooled),
+      engine_config(shards, batch_records),
       [&](std::uint32_t minute, std::span<const net::FlowRecord> flows) {
         detector.ingest_minute(minute, flows);
         if (completion_ns.size() <= minute) completion_ns.resize(minute + 1);
@@ -326,16 +320,12 @@ int main(int argc, char** argv) {
             : std::vector<std::size_t>{1, 256};
   const std::vector<std::size_t> shard_counts =
       smoke ? std::vector<std::size_t>{1} : std::vector<std::size_t>{1, 2};
-  // Pooled (zero-allocation scatter + fused decode→route) vs the copying
-  // vector path, same sweep — the wire-to-verdict columns line up row for
-  // row so the trajectory shows what the pool buys end to end.
-  const std::vector<bool> pooled_modes = {false, true};
 
   // The reference verdict stream is configuration-independent (the
   // engine's determinism contract), so one in-process run anchors every
   // wire row.
   const Verdicts reference =
-      reference_verdicts(datagrams, trace.updates, 1, 256);
+      reference_verdicts(wire, wire_minutes, trace.updates, 1, 256);
   std::printf("reference (in-process): %zu detections, %llu flows, "
               "%llu minutes\n\n",
               reference.detections.size(),
@@ -343,57 +333,52 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(reference.minutes_merged));
 
   util::TextTable table;
-  table.set_header({"rate", "batch", "shards", "pooled", "w2v_p50_ms",
-                    "w2v_p99_ms", "w2v_p99.9_ms", "flows/s", "lossless",
-                    "match"});
+  table.set_header({"rate", "batch", "shards", "w2v_p50_ms", "w2v_p99_ms",
+                    "w2v_p99.9_ms", "flows/s", "lossless", "match"});
   util::JsonArray results;
   for (const double rate : rates) {
     for (const std::size_t batch_records : batch_counts) {
       for (const std::size_t shards : shard_counts) {
-        for (const bool pooled : pooled_modes) {
-          const WireRow row =
-              run_wire(wire, wire_minutes, trace.updates, reference, rate,
-                       batch_records, shards, pooled, hardware);
-          char rate_text[32], p50[32], p99[32], p999[32], fps[32];
-          std::snprintf(rate_text, sizeof(rate_text), "%.0f", row.target_rate);
-          std::snprintf(p50, sizeof(p50), "%.2f", row.p50_ms);
-          std::snprintf(p99, sizeof(p99), "%.2f", row.p99_ms);
-          std::snprintf(p999, sizeof(p999), "%.2f", row.p999_ms);
-          std::snprintf(fps, sizeof(fps), "%.0f", row.flows_per_sec);
-          table.add_row({row.target_rate == 0.0 ? "max" : rate_text,
-                         std::to_string(row.batch_records),
-                         std::to_string(row.shards),
-                         row.pooled ? "yes" : "no", p50, p99, p999, fps,
-                         row.lossless ? "yes" : "NO",
-                         row.verdicts_match ? "yes" : "NO"});
+        const WireRow row =
+            run_wire(wire, wire_minutes, trace.updates, reference, rate,
+                     batch_records, shards, hardware);
+        char rate_text[32], p50[32], p99[32], p999[32], fps[32];
+        std::snprintf(rate_text, sizeof(rate_text), "%.0f", row.target_rate);
+        std::snprintf(p50, sizeof(p50), "%.2f", row.p50_ms);
+        std::snprintf(p99, sizeof(p99), "%.2f", row.p99_ms);
+        std::snprintf(p999, sizeof(p999), "%.2f", row.p999_ms);
+        std::snprintf(fps, sizeof(fps), "%.0f", row.flows_per_sec);
+        table.add_row({row.target_rate == 0.0 ? "max" : rate_text,
+                       std::to_string(row.batch_records),
+                       std::to_string(row.shards), p50, p99, p999, fps,
+                       row.lossless ? "yes" : "NO",
+                       row.verdicts_match ? "yes" : "NO"});
 
-          util::Json item;
-          item.set("target_rate", row.target_rate);
-          item.set("achieved_send_rate", row.achieved_send_rate);
-          item.set("batch_records", static_cast<double>(row.batch_records));
-          item.set("shards", static_cast<double>(row.shards));
-          item.set("pooled", row.pooled);
-          item.set("advisory", row.advisory);
-          item.set("backend", row.backend);
-          // Wire-to-verdict latency quantiles (send → minute scored).
-          item.set("p50_ms", row.p50_ms);
-          item.set("p99_ms", row.p99_ms);
-          item.set("p999_ms", row.p999_ms);
-          item.set("max_ms", row.max_ms);
-          item.set("flows_per_sec", row.flows_per_sec);
-          item.set("wall_seconds", row.wall_seconds);
-          item.set("sent", static_cast<double>(row.sent));
-          item.set("received", static_cast<double>(row.received));
-          item.set("kernel_drops", static_cast<double>(row.kernel_drops));
-          item.set("ring_drops", static_cast<double>(row.ring_drops));
-          item.set("behind_deadline", static_cast<double>(row.behind));
-          item.set("pool_fallbacks", static_cast<double>(row.pool_fallbacks));
-          item.set("pool_highwater", static_cast<double>(row.pool_highwater));
-          item.set("pool_exhausted", static_cast<double>(row.pool_exhausted));
-          item.set("lossless", row.lossless);
-          item.set("verdicts_match", row.verdicts_match);
-          results.push_back(std::move(item));
-        }
+        util::Json item;
+        item.set("target_rate", row.target_rate);
+        item.set("achieved_send_rate", row.achieved_send_rate);
+        item.set("batch_records", static_cast<double>(row.batch_records));
+        item.set("shards", static_cast<double>(row.shards));
+        item.set("advisory", row.advisory);
+        item.set("backend", row.backend);
+        // Wire-to-verdict latency quantiles (send → minute scored).
+        item.set("p50_ms", row.p50_ms);
+        item.set("p99_ms", row.p99_ms);
+        item.set("p999_ms", row.p999_ms);
+        item.set("max_ms", row.max_ms);
+        item.set("flows_per_sec", row.flows_per_sec);
+        item.set("wall_seconds", row.wall_seconds);
+        item.set("sent", static_cast<double>(row.sent));
+        item.set("received", static_cast<double>(row.received));
+        item.set("kernel_drops", static_cast<double>(row.kernel_drops));
+        item.set("ring_drops", static_cast<double>(row.ring_drops));
+        item.set("behind_deadline", static_cast<double>(row.behind));
+        item.set("pool_fallbacks", static_cast<double>(row.pool_fallbacks));
+        item.set("pool_highwater", static_cast<double>(row.pool_highwater));
+        item.set("pool_exhausted", static_cast<double>(row.pool_exhausted));
+        item.set("lossless", row.lossless);
+        item.set("verdicts_match", row.verdicts_match);
+        results.push_back(std::move(item));
       }
     }
   }

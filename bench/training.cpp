@@ -24,7 +24,7 @@
 // (BinCache cleared first), the row times the BinnedMatrix build alone
 // (the binning share of a cold fit), warm fits that hit the BinCache
 // (the steady-state retraining cost), and the embedded seed engine
-// (bench/gbt_oracle.hpp) on the same data — asserting the production
+// (tests/oracles/gbt_oracle.hpp) on the same data — asserting the production
 // model's bytes EQUAL the oracle's, and that the warm fits actually hit
 // the cache. The oracle-relative speedups and BinCache counters land in
 // BENCH_training.json; like every bench here, speed is recorded, bytes
@@ -38,7 +38,7 @@
 #include <vector>
 
 #include "../bench/common.hpp"
-#include "../bench/gbt_oracle.hpp"
+#include "../tests/oracles/gbt_oracle.hpp"
 #include "arm/fpgrowth.hpp"
 #include "arm/item.hpp"
 #include "ml/bin_cache.hpp"

@@ -96,8 +96,8 @@ void Collector::ingest_samples(std::uint32_t uptime_ms,
     ++late_datagrams_;
     return;
   }
-  // Inline net::ingest_datagram over the borrowed span: stamp timestamps
-  // from the export uptime, source member from the sampler's input port.
+  // Stamp timestamps from the export uptime, source member from the
+  // sampler's input port.
   for (const net::SflowFlowSample& sample : samples) {
     net::PacketHeader packet = sample.packet;
     packet.timestamp_ms = uptime_ms;
@@ -112,10 +112,6 @@ void Collector::ingest_samples(std::uint32_t uptime_ms,
   if (watermark_min_ > config_.reorder_slack_min) {
     flush_before(watermark_min_ - config_.reorder_slack_min);
   }
-}
-
-void Collector::ingest_wire(const std::vector<std::uint8_t>& wire) {
-  ingest(net::SflowDatagram::decode(wire));
 }
 
 void Collector::ingest_bgp(const bgp::UpdateMessage& update,

@@ -64,10 +64,7 @@ class Collector {
   void ingest_samples(std::uint32_t uptime_ms,
                       std::span<const net::SflowFlowSample> samples);
 
-  /// Ingests sFlow wire bytes. Throws net::SflowDecodeError on bad input.
-  void ingest_wire(const std::vector<std::uint8_t>& wire);
-
-  /// Ingests one BGP update observed at `now_ms` (e.g. from bgp::Session).
+  /// Ingests one BGP update observed at `now_ms` (the route server feed).
   void ingest_bgp(const bgp::UpdateMessage& update, std::uint64_t now_ms);
 
   /// Advances collector time to `minute` as if a datagram with that

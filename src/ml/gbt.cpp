@@ -46,7 +46,7 @@ struct NodeSpan {
 /// inner loop loads u8 codes when the matrix is narrow.
 ///
 /// Bit-identity invariants vs the historical all-rows engine
-/// (bench/gbt_oracle.hpp):
+/// (tests/oracles/gbt_oracle.hpp):
 ///
 ///   * Per-(node, bin) accumulation order: a span's rows are ascending by
 ///     global row index — stable partition of an ascending parent — so

@@ -15,18 +15,11 @@
 #include <cstdint>
 #include <optional>
 #include <span>
-#include <stdexcept>
 #include <vector>
 
 #include "net/packet.hpp"
 
 namespace scrubber::net {
-
-/// Error thrown on malformed sFlow bytes.
-class SflowDecodeError : public std::runtime_error {
- public:
-  using std::runtime_error::runtime_error;
-};
 
 /// One flow sample: a sampled packet header plus sampling metadata.
 struct SflowFlowSample {
@@ -49,32 +42,23 @@ struct SflowDatagram {
   std::vector<SflowFlowSample> samples;
 
   /// Encodes the datagram as sFlow v5 wire bytes (XDR, big endian).
+  /// SflowView::decode below is the decoder.
   [[nodiscard]] std::vector<std::uint8_t> encode() const;
-
-  /// Decodes wire bytes; unknown record types are skipped. Throws
-  /// SflowDecodeError on malformed input.
-  [[nodiscard]] static SflowDatagram decode(const std::vector<std::uint8_t>& wire);
-
-  /// Same decoder over a borrowed byte window (pooled wire slots).
-  [[nodiscard]] static SflowDatagram decode(std::span<const std::uint8_t> wire);
 
   friend bool operator==(const SflowDatagram&, const SflowDatagram&) = default;
 };
 
-/// Feeds every flow sample of a datagram into a FlowCache, stamping packet
-/// timestamps from the datagram uptime (collector behavior).
-void ingest_datagram(const SflowDatagram& datagram, FlowCache& cache);
-
-// --- in-place, non-throwing decode (the wire hot path) --------------------
+// --- in-place, non-throwing decode (the one production decoder) ----------
 //
-// SflowDatagram::decode above is the oracle: it materializes a datagram
-// and throws on malformed input. The serving path cannot afford either —
-// a hostile flood would pay one C++ unwind per bad datagram and one heap
-// vector per good one — so SflowView::decode walks the same wire bytes
-// with zero copies, reports malformation as a status code, and hands each
-// accepted sample to a caller-supplied emitter (which the sharded router
-// uses to append straight into per-shard batches). The walk mirrors the
-// oracle field-for-field and check-for-check; the fuzz parity suite
+// The specification is the reference decoder in
+// tests/oracles/sflow_decode.hpp: it materializes a datagram and throws
+// on malformed input. The serving path cannot afford either — a hostile
+// flood would pay one C++ unwind per bad datagram and one heap vector per
+// good one — so SflowView::decode walks the same wire bytes with zero
+// copies, reports malformation as a status code, and hands each accepted
+// sample to a caller-supplied emitter (which the sharded router uses to
+// append straight into per-shard batches). The walk mirrors the oracle
+// field-for-field and check-for-check; the fuzz parity suite
 // (tests/net/sflow_inplace_parity_test.cpp) holds the two bit-identical
 // on hostile corpora.
 
@@ -105,8 +89,8 @@ struct SflowHeaderView {
 
 namespace sflow_detail {
 
-// Wire constants, mirrored from the oracle in sflow.cpp (which keeps its
-// own copies so the oracle text stays untouched).
+// Wire constants, shared by the encoder and the walk (the oracle keeps its
+// own copies so its text stays untouched).
 inline constexpr std::uint32_t kWireVersion = 5;
 inline constexpr std::uint32_t kWireAddressIpv4 = 1;
 inline constexpr std::uint32_t kWireSampleFlow = 1;

@@ -38,6 +38,11 @@ UdpListener::UdpListener(ListenerConfig config, runtime::Engine& engine,
     : config_(std::move(config)),
       engine_(engine),
       minute_feed_(std::move(minute_feed)) {
+  // The receiver keeps up to batch_msgs slots armed; a dry-pool fallback
+  // waits for a slot only the engine can return, so it must hold more.
+  if (engine_.wire_pool()->slots() <= config_.batch_msgs) {
+    throw NetioError("engine wire pool needs more slots than batch_msgs");
+  }
   socket_.bind(config_.bind_address, config_.port, config_.rcvbuf_bytes);
 #if SCRUBBER_IO_URING
   if (config_.backend == RecvBackend::kAuto ||
@@ -121,15 +126,13 @@ void UdpListener::run() {
       if (frames[i].slot) {
         // Zero-copy: the datagram already sits in a pooled buffer; move
         // the slot into the engine (it recycles after the in-place walk,
-        // or on drop when the rejected event is destroyed).
+        // or at once when the push is rejected).
         pushed = engine_.push_wire(std::move(frames[i].slot));
       } else {
-        if (engine_.wire_pool() != nullptr) {
-          // Pool ran dry at arm time; this datagram pays the copy.
-          pool_fallbacks_.fetch_add(1, std::memory_order_relaxed);
-        }
-        pushed = engine_.push_wire(
-            std::vector<std::uint8_t>(wire.begin(), wire.end()));
+        // Pool ran dry at arm time: the engine copies this datagram out of
+        // the receiver's scratch storage into a slot of its own.
+        pool_fallbacks_.fetch_add(1, std::memory_order_relaxed);
+        pushed = engine_.push_wire(wire);
       }
       if (pushed) {
         listen_.add_out();

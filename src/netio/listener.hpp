@@ -69,9 +69,8 @@ struct ListenerSnapshot {
   std::uint64_t bytes = 0;          ///< wire bytes received
   std::uint64_t recv_batches = 0;   ///< non-empty receive batches
   std::uint64_t kernel_drops = 0;   ///< socket-buffer drops (SO_RXQ_OVFL)
-  /// Datagrams copied through the scratch path because the wire pool was
-  /// dry at arm time (0 when the engine has no pool — every datagram
-  /// copies then, but nothing "fell back").
+  /// Datagrams received into scratch storage because the wire pool was
+  /// dry at arm time; Engine::push_wire copied each into a slot.
   std::uint64_t pool_fallbacks = 0;
   bool fin_seen = false;
   std::uint64_t expected_datagrams = 0;  ///< sender total from the sentinel

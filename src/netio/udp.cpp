@@ -156,7 +156,7 @@ class MmsgReceiver final : public BatchReceiver {
     // the input ring, copy-free. A dry pool falls back to scratch storage
     // for that message (the caller copies, counted as a pool fallback).
     for (std::size_t i = 0; i < want; ++i) {
-      if (pool_ != nullptr && !armed_[i]) armed_[i] = pool_->try_acquire();
+      if (!armed_[i]) armed_[i] = pool_->try_acquire();
       if (armed_[i]) {
         iovecs_[i].iov_base = armed_[i].data();
         iovecs_[i].iov_len = armed_[i].capacity();

@@ -68,11 +68,11 @@ class UdpSocket {
   int fd_ = -1;
 };
 
-/// One received datagram. Without a buffer pool, `data` views scratch
-/// storage owned by the BatchReceiver, valid only until its next
-/// recv_batch() call. With a pool, `slot` owns the pooled buffer `data`
-/// points into — move the slot onward (Engine::push_wire) for the
-/// zero-copy path, or let it drop to recycle. Move-only once filled.
+/// One received datagram. `slot` owns the pooled buffer `data` points
+/// into — move the slot onward (Engine::push_wire) for the zero-copy path,
+/// or let it drop to recycle. When the pool was dry at arm time, `slot` is
+/// empty and `data` views scratch storage owned by the BatchReceiver,
+/// valid only until its next recv_batch() call. Move-only once filled.
 struct RecvFrame {
   const std::uint8_t* data = nullptr;
   std::size_t size = 0;
@@ -102,13 +102,13 @@ class BatchReceiver {
 };
 
 /// recvmmsg()-based receiver: poll() for readiness, then drain up to
-/// `batch_msgs` datagrams in a single syscall. With a non-null `pool` the
-/// kernel scatters each datagram straight into a pooled slot (handed out
-/// via RecvFrame::slot); when the pool runs dry the receiver falls back
-/// to its scratch storage for that message.
+/// `batch_msgs` datagrams in a single syscall. The kernel scatters each
+/// datagram straight into a slot of `pool` (handed out via
+/// RecvFrame::slot); when the pool runs dry the receiver falls back to its
+/// scratch storage for that message.
 [[nodiscard]] std::unique_ptr<BatchReceiver> make_mmsg_receiver(
     UdpSocket& socket, std::size_t batch_msgs, std::size_t max_datagram_bytes,
-    runtime::WireBufferPool* pool = nullptr);
+    runtime::WireBufferPool* pool);
 
 #if SCRUBBER_IO_URING
 /// io_uring-based receiver: `batch_msgs` RECVMSG submissions stay armed in
@@ -118,7 +118,7 @@ class BatchReceiver {
 /// buffers stay pinned while their submission is armed in the kernel.
 [[nodiscard]] std::unique_ptr<BatchReceiver> make_uring_receiver(
     UdpSocket& socket, std::size_t batch_msgs, std::size_t max_datagram_bytes,
-    runtime::WireBufferPool* pool = nullptr);
+    runtime::WireBufferPool* pool);
 #endif  // SCRUBBER_IO_URING
 
 // --- wire framing helpers -------------------------------------------------

@@ -196,7 +196,7 @@ class UringReceiver final : public BatchReceiver {
     // buffer when available — it stays pinned (owned by armed_[slot])
     // until the completion hands it off, so the kernel never writes into
     // a recycled buffer. Dry pool: scratch storage for this arming.
-    if (pool_ != nullptr && !armed_[slot]) {
+    if (!armed_[slot]) {
       armed_[slot] = pool_->try_acquire();
     }
     if (armed_[slot]) {

@@ -17,27 +17,22 @@ StageSnapshot StageCounters::snapshot(std::string name) const {
 }
 
 std::string EngineSnapshot::stats_line() const {
-  char line[256];
+  char line[320];
   std::snprintf(line, sizeof(line),
                 "t=%8.1fs datagrams=%llu flows=%llu minutes=%llu "
-                "drops=%llu late=%llu bad=%llu rate=%.0f flows/s",
+                "drops=%llu late=%llu bad=%llu rate=%.0f flows/s "
+                "pool=%llu/%llu hiwat=%llu dry=%llu",
                 wall_seconds, static_cast<unsigned long long>(datagrams),
                 static_cast<unsigned long long>(flows_out),
                 static_cast<unsigned long long>(minutes_merged),
                 static_cast<unsigned long long>(input_drops),
                 static_cast<unsigned long long>(late_drops),
                 static_cast<unsigned long long>(decode_errors),
-                flows_per_sec());
-  std::string out = line;
-  if (pool_slots > 0) {
-    std::snprintf(line, sizeof(line), " pool=%llu/%llu hiwat=%llu dry=%llu",
-                  static_cast<unsigned long long>(pool_in_use),
-                  static_cast<unsigned long long>(pool_slots),
-                  static_cast<unsigned long long>(pool_highwater),
-                  static_cast<unsigned long long>(pool_exhausted));
-    out += line;
-  }
-  return out;
+                flows_per_sec(), static_cast<unsigned long long>(pool_in_use),
+                static_cast<unsigned long long>(pool_slots),
+                static_cast<unsigned long long>(pool_highwater),
+                static_cast<unsigned long long>(pool_exhausted));
+  return line;
 }
 
 std::string EngineSnapshot::report() const {
@@ -56,16 +51,14 @@ std::string EngineSnapshot::report() const {
                 static_cast<unsigned long long>(late_drops),
                 static_cast<unsigned long long>(decode_errors));
   out += line;
-  if (pool_slots > 0) {
-    std::snprintf(line, sizeof(line),
-                  "wire pool: %llu slots, in_use=%llu highwater=%llu "
-                  "exhausted=%llu\n",
-                  static_cast<unsigned long long>(pool_slots),
-                  static_cast<unsigned long long>(pool_in_use),
-                  static_cast<unsigned long long>(pool_highwater),
-                  static_cast<unsigned long long>(pool_exhausted));
-    out += line;
-  }
+  std::snprintf(line, sizeof(line),
+                "wire pool: %llu slots, in_use=%llu highwater=%llu "
+                "exhausted=%llu\n",
+                static_cast<unsigned long long>(pool_slots),
+                static_cast<unsigned long long>(pool_in_use),
+                static_cast<unsigned long long>(pool_highwater),
+                static_cast<unsigned long long>(pool_exhausted));
+  out += line;
   for (const StageSnapshot& stage : stages) {
     std::snprintf(line, sizeof(line),
                   "  stage %-8s in=%-10llu out=%-10llu drops=%-6llu "

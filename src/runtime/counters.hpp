@@ -81,11 +81,11 @@ struct EngineSnapshot {
   std::uint64_t samples = 0;        ///< packet samples routed to shards
   std::uint64_t bgp_updates = 0;    ///< BGP updates broadcast
   std::uint64_t decode_errors = 0;  ///< malformed wire datagrams
-  std::uint64_t input_drops = 0;    ///< producer-side drops (kDrop policy)
+  std::uint64_t input_drops = 0;    ///< rejected pushes (kDrop, oversize)
   std::uint64_t late_drops = 0;     ///< shard-side late-datagram drops
   std::uint64_t flows_out = 0;      ///< labeled flows delivered to the sink
   std::uint64_t minutes_merged = 0; ///< minute batches emitted in order
-  // Wire buffer pool occupancy (all zero when the pool is disabled).
+  // Wire buffer pool occupancy.
   std::uint64_t pool_slots = 0;     ///< configured pool capacity
   std::uint64_t pool_in_use = 0;    ///< slots currently in flight
   std::uint64_t pool_highwater = 0; ///< deepest in-flight occupancy seen

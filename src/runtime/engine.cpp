@@ -1,5 +1,8 @@
 #include "runtime/engine.hpp"
 
+#include <algorithm>
+#include <stdexcept>
+
 #include "util/check.hpp"
 
 namespace scrubber::runtime {
@@ -12,11 +15,20 @@ std::uint64_t now_ns() noexcept {
           .count());
 }
 
+std::size_t checked_pool_slots(std::size_t slots) {
+  if (slots == 0) {
+    throw std::invalid_argument("EngineConfig::wire_pool_slots must be > 0");
+  }
+  return slots;
+}
+
 }  // namespace
 
 Engine::Engine(EngineConfig config, core::MinuteBatchSink minute_sink)
     : config_(config),
       minute_sink_(std::move(minute_sink)),
+      wire_pool_(checked_pool_slots(config.wire_pool_slots),
+                 config.wire_slot_bytes),
       batch_records_(effective_batch_records(config.batch_records,
                                              config.queue_capacity)),
       input_ring_(batch_ring_slots(config.queue_capacity, batch_records_)),
@@ -24,11 +36,7 @@ Engine::Engine(EngineConfig config, core::MinuteBatchSink minute_sink)
       batch_recycle_(batch_ring_slots(config.queue_capacity, batch_records_) +
                      4),
       start_(std::chrono::steady_clock::now()) {
-  if (config_.wire_pool_slots > 0) {
-    wire_pool_ = std::make_unique<WireBufferPool>(config_.wire_pool_slots,
-                                                  config_.wire_slot_bytes);
-  }
-  pending_.events.reserve(batch_records_);
+  pending_.slots.reserve(batch_records_);
   ShardedCollectorConfig sharded_config;
   sharded_config.shards = config_.shards;
   sharded_config.collector = config_.collector;
@@ -66,86 +74,90 @@ Engine::~Engine() {
 }
 
 bool Engine::flush_pending(bool block) {
-  if (pending_.events.empty()) return true;
+  if (pending_.slots.empty() &&
+      pending_.control == InputBatch::Control::kNone) {
+    return true;
+  }
   if (block) {
     input_ring_.push_blocking(std::move(pending_), abort_);
   } else if (!input_ring_.try_push(std::move(pending_))) {
     return false;  // ring full; batch stays pending (try_push left it intact)
   }
   // Prefer a recycled batch (drained by the decode worker; its cleared
-  // event vector keeps capacity) over allocating a fresh one. Once the
+  // slot vector keeps capacity) over allocating a fresh one. Once the
   // warm-up rounds have minted ring-capacity + in-flight batches, the
   // recycle ring is never empty here and steady state allocates nothing.
   if (!batch_recycle_.try_pop(pending_)) {
     pending_ = InputBatch{};
   }
-  pending_.events.clear();
-  pending_.events.reserve(batch_records_);
+  pending_.slots.clear();
+  pending_.control = InputBatch::Control::kNone;
+  pending_.slots.reserve(batch_records_);
   decode_.note_queue_depth(input_ring_.size() * batch_records_);
   return true;
 }
 
-bool Engine::submit(InputEvent&& event) {
-  const bool control = event.kind == InputEvent::Kind::kBgp ||
-                       event.kind == InputEvent::Kind::kFinish;
-  const bool block = config_.backpressure == Backpressure::kBlock || control;
-  if (pending_.events.size() >= batch_records_ && !flush_pending(block)) {
-    // kDrop with a full ring: shed only the incoming data event. The
-    // pending batch is kept and retried on the next submission, so
-    // accepted events are never lost and drops count rejected pushes 1:1.
-    input_drops_.fetch_add(1, std::memory_order_relaxed);
-    decode_.add_drop();
-    return false;
+bool Engine::reject() {
+  input_drops_.fetch_add(1, std::memory_order_relaxed);
+  decode_.add_drop();
+  return false;
+}
+
+bool Engine::submit(WireSlot&& slot) {
+  const bool block = config_.backpressure == Backpressure::kBlock;
+  if (pending_.slots.size() >= batch_records_ && !flush_pending(block)) {
+    // kDrop with a full ring: shed only the incoming datagram (its slot
+    // recycles when the caller's handle dies). The pending batch is kept
+    // and retried on the next submission, so accepted datagrams are never
+    // lost and drops count rejected pushes 1:1.
+    return reject();
   }
-  pending_.events.push_back(std::move(event));
-  if (control) {
-    // Control events cut the batch: BGP ordering relative to data is the
-    // submission order, and control is never deferred behind a partial
-    // batch (nor ever dropped — the flush blocks under either policy).
-    flush_pending(true);
-  } else if (pending_.events.size() >= batch_records_) {
-    flush_pending(config_.backpressure == Backpressure::kBlock);
-  }
+  pending_.slots.push_back(std::move(slot));
+  if (pending_.slots.size() >= batch_records_) flush_pending(block);
   return true;
 }
 
-bool Engine::push(net::SflowDatagram datagram) {
-  InputEvent event;
-  event.kind = InputEvent::Kind::kDatagram;
-  event.datagram = std::move(datagram);
-  return submit(std::move(event));
+void Engine::submit_control(InputBatch::Control control) {
+  // Control events cut the batch: BGP ordering relative to data is the
+  // submission order, and control is never deferred behind a partial
+  // batch (nor ever dropped — the flush blocks under either policy).
+  pending_.control = control;
+  flush_pending(true);
 }
 
-bool Engine::push_wire(std::vector<std::uint8_t> wire) {
-  InputEvent event;
-  event.kind = InputEvent::Kind::kWire;
-  event.wire = std::move(wire);
-  return submit(std::move(event));
-}
+bool Engine::push_wire(WireSlot slot) { return submit(std::move(slot)); }
 
-bool Engine::push_wire(WireSlot slot) {
-  InputEvent event;
-  event.kind = InputEvent::Kind::kPooledWire;
-  event.slot = std::move(slot);
-  // On a kDrop rejection the event (and the slot it carries) is destroyed
-  // here, which recycles the buffer — a dropped datagram costs nothing.
-  return submit(std::move(event));
+bool Engine::push_wire(std::span<const std::uint8_t> wire) {
+  if (wire.size() > wire_pool_.slot_bytes()) return reject();
+  WireSlot slot = wire_pool_.try_acquire();
+  if (!slot) {
+    // Dry pool: the pending batch may hold the very slots this push needs,
+    // so hand it to the decode worker first; then either wait for one of
+    // them to recycle or shed this datagram.
+    if (config_.backpressure == Backpressure::kDrop) {
+      flush_pending(false);
+      return reject();
+    }
+    flush_pending(true);
+    while (!(slot = wire_pool_.try_acquire_uncounted())) {
+      std::this_thread::yield();
+    }
+  }
+  std::copy(wire.begin(), wire.end(), slot.data());
+  slot.set_size(wire.size());
+  return submit(std::move(slot));
 }
 
 void Engine::push_bgp(bgp::UpdateMessage update, std::uint64_t now_ms) {
-  InputEvent event;
-  event.kind = InputEvent::Kind::kBgp;
-  event.update = std::move(update);
-  event.now_ms = now_ms;
-  submit(std::move(event));
+  pending_.update = std::move(update);
+  pending_.now_ms = now_ms;
+  submit_control(InputBatch::Control::kBgp);
 }
 
 void Engine::finish() {
   if (finished_) return;
   finished_ = true;
-  InputEvent fin;
-  fin.kind = InputEvent::Kind::kFinish;
-  submit(std::move(fin));
+  submit_control(InputBatch::Control::kFinish);
   decode_thread_.join();  // returns once the sharded collector finished
   score_thread_.join();   // returns once the finish marker crossed scoring
   // Counter coherence across the stage graph, checked at the one point
@@ -181,97 +193,61 @@ void Engine::decode_worker() {
       std::this_thread::yield();
       continue;
     }
-    for (InputEvent& event : batch.events) {
+    for (WireSlot& slot : batch.slots) {
       decode_.add_in();
-      switch (event.kind) {
-        case InputEvent::Kind::kWire:
-        case InputEvent::Kind::kPooledWire: {
-          // Fused decode→route: walk the wire bytes in place and append
-          // samples straight into per-shard batches — no SflowDatagram
-          // materialization, no route-stage copy. The walk cost lands in
-          // the decode stage; the route stage's busy time is zero on this
-          // path (routing happens inside the walk).
-          // scrubber-hot-begin
-          const std::uint64_t begin = now_ns();
-          const std::span<const std::uint8_t> wire =
-              event.kind == InputEvent::Kind::kPooledWire
-                  ? event.slot.bytes()
-                  : std::span<const std::uint8_t>(event.wire.data(),
-                                                  event.wire.size());
-          if (config_.use_oracle_decoder) {
-            // Bench/test comparison path: the throwing oracle decoder,
-            // then the ordinary route step. Bit-identical output.
-            bool decoded = true;
-            try {
-              // NOLINTNEXTLINE(scrubber-transitive): oracle decoder comparison path — materializes an SflowDatagram by design; gated behind use_oracle_decoder for bench/test parity only
-              event.datagram = net::SflowDatagram::decode(wire);
-            } catch (const net::SflowDecodeError&) {
-              decoded = false;
-            }
-            if (decoded) {
-              datagrams_.fetch_add(1, std::memory_order_relaxed);
-              sharded_->ingest(event.datagram);
-              decode_.add_out();
-              route_.add_in();
-              route_.add_out();
-            } else {
-              decode_errors_.fetch_add(1, std::memory_order_relaxed);
-            }
-          } else {
-            // Appends into preallocated, recycled per-shard batches —
-            // steady-state growth is amortized to zero (proved by the
-            // SCRUBBER_CHECKED counting-allocator test).
-            const net::DecodeStatus status = sharded_->ingest_wire(wire);
-            if (status == net::DecodeStatus::kOk) {
-              datagrams_.fetch_add(1, std::memory_order_relaxed);
-              decode_.add_out();
-              route_.add_in();
-              route_.add_out();
-            } else {
-              decode_errors_.fetch_add(1, std::memory_order_relaxed);
-            }
-          }
-          event.slot.release();  // recycle the pooled buffer (no-op for kWire)
-          decode_.add_busy_ns(now_ns() - begin);
-          // scrubber-hot-end
-          break;
-        }
-        case InputEvent::Kind::kDatagram: {
-          const std::uint64_t begin = now_ns();
-          datagrams_.fetch_add(1, std::memory_order_relaxed);
-          sharded_->ingest(event.datagram);
-          decode_.add_out();
-          route_.add_in();
-          route_.add_out();
-          route_.add_busy_ns(now_ns() - begin);
-          break;
-        }
-        case InputEvent::Kind::kBgp: {
-          const std::uint64_t begin = now_ns();
-          bgp_updates_.fetch_add(1, std::memory_order_relaxed);
-          sharded_->ingest_bgp(event.update, event.now_ms);
-          decode_.add_out();
-          route_.add_busy_ns(now_ns() - begin);
-          break;
-        }
-        case InputEvent::Kind::kFinish: {
-          // Always the last event of its batch: submit() cuts the batch
-          // at every control event.
-          sharded_->finish();  // all minute batches now sit in the score ring
-          // finish() joined the merge thread, so the score ring's producer
-          // endpoint hands off to this thread for the final sentinel.
-          score_ring_.adopt_producer();
-          ScoreItem fin;
-          fin.finish = true;
-          score_ring_.push_blocking(std::move(fin), abort_);
-          return;
-        }
+      // Fused decode→route: walk the wire bytes in place and append
+      // samples straight into per-shard batches — no SflowDatagram
+      // materialization, no route-stage copy. The walk cost lands in the
+      // decode stage; the route stage's busy time is zero on this path
+      // (routing happens inside the walk).
+      // scrubber-hot-begin
+      const std::uint64_t begin = now_ns();
+      // Appends into preallocated, recycled per-shard batches —
+      // steady-state growth is amortized to zero (proved by the
+      // SCRUBBER_CHECKED counting-allocator test).
+      // NOLINTNEXTLINE(scrubber-transitive): route_sample's push_back grows recycled shard batches only during warm-up (see above)
+      const net::DecodeStatus status = sharded_->ingest_wire(slot.bytes());
+      if (status == net::DecodeStatus::kOk) {
+        datagrams_.fetch_add(1, std::memory_order_relaxed);
+        decode_.add_out();
+        route_.add_in();
+        route_.add_out();
+      } else {
+        decode_errors_.fetch_add(1, std::memory_order_relaxed);
+      }
+      slot.release();  // recycle the pooled buffer
+      decode_.add_busy_ns(now_ns() - begin);
+      // scrubber-hot-end
+    }
+    switch (batch.control) {
+      case InputBatch::Control::kNone:
+        break;
+      case InputBatch::Control::kBgp: {
+        decode_.add_in();
+        const std::uint64_t begin = now_ns();
+        bgp_updates_.fetch_add(1, std::memory_order_relaxed);
+        sharded_->ingest_bgp(batch.update, batch.now_ms);
+        decode_.add_out();
+        route_.add_busy_ns(now_ns() - begin);
+        break;
+      }
+      case InputBatch::Control::kFinish: {
+        decode_.add_in();
+        sharded_->finish();  // all minute batches now sit in the score ring
+        // finish() joined the merge thread, so the score ring's producer
+        // endpoint hands off to this thread for the final sentinel.
+        score_ring_.adopt_producer();
+        ScoreItem fin;
+        fin.finish = true;
+        score_ring_.push_blocking(std::move(fin), abort_);
+        return;
       }
     }
-    // Hand the drained batch back to the producer: clear() keeps the
-    // event vector's capacity, so steady-state batching allocates
-    // nothing. A full recycle ring just drops the batch.
-    batch.events.clear();
+    // Hand the drained batch back to the producer: clear() keeps the slot
+    // vector's capacity, so steady-state batching allocates nothing. A
+    // full recycle ring just drops the batch.
+    batch.slots.clear();
+    batch.control = InputBatch::Control::kNone;
     (void)batch_recycle_.try_push(std::move(batch));
   }
 }
@@ -314,12 +290,10 @@ EngineSnapshot Engine::stats() const {
   snap.late_drops = sharded_->late_datagrams();
   snap.flows_out = flows_scored_.load(std::memory_order_relaxed);
   snap.minutes_merged = sharded_->minutes_merged();
-  if (wire_pool_) {
-    snap.pool_slots = wire_pool_->slots();
-    snap.pool_in_use = wire_pool_->in_use();
-    snap.pool_highwater = wire_pool_->highwater();
-    snap.pool_exhausted = wire_pool_->exhausted();
-  }
+  snap.pool_slots = wire_pool_.slots();
+  snap.pool_in_use = wire_pool_.in_use();
+  snap.pool_highwater = wire_pool_.highwater();
+  snap.pool_exhausted = wire_pool_.exhausted();
   StageSnapshot collect = sharded_->collect_snapshot();
   snap.samples = collect.items_in;
   snap.stages.push_back(decode_.snapshot("decode"));

@@ -5,31 +5,36 @@
 //                                                                    │
 //   sink ◄── score ◄── [score ring] ◄── merge ◄── [merge queue] ◄────┘
 //
-// wired from the runtime building blocks. One decode/route worker drains
-// the bounded input ring, decodes sFlow wire bytes when needed, and feeds
-// the ShardedCollector (N collect workers + merge worker). Merged minute
-// batches cross a bounded ring to the score worker, which invokes the
-// user's minute sink (typically core::LiveDetector::ingest_minute) — so a
-// slow model never blocks packet decode directly; backpressure propagates
-// queue by queue until the producer either blocks or drops, per policy.
+// wired from the runtime building blocks. Every datagram enters as sFlow
+// wire bytes in a slot of the engine's WireBufferPool (DESIGN.md §15).
+// One decode/route worker drains the bounded input ring, walks each slot
+// in place, and feeds the ShardedCollector (N collect workers + merge
+// worker). Merged minute batches cross a bounded ring to the score
+// worker, which invokes the user's minute sink (typically
+// core::LiveDetector::ingest_minute) — so a slow model never blocks packet
+// decode directly; backpressure propagates queue by queue until the
+// producer either blocks or drops, per policy.
 //
 // Every ring edge moves batches (see batch.hpp): the producer accumulates
-// events into a pending InputBatch and flushes at `batch_records` events
-// or immediately on control events (BGP, finish), so relative order of
-// data and control is exactly the submission order. Under kDrop a full
-// ring drops only the incoming data event — buffered events are retried
-// on the next submission and on finish, so every accepted event is
-// eventually delivered and `input_drops` equals rejected push() calls.
+// slots into a pending InputBatch and flushes at `batch_records` slots or
+// immediately on a control event (BGP, finish), which rides at the tail
+// of the batch it cuts — so relative order of data and control is exactly
+// the submission order. Under kDrop a full ring or a dry pool drops only
+// the incoming datagram — buffered slots are retried on the next
+// submission and on finish, so every accepted datagram is eventually
+// delivered and `input_drops` equals rejected push_wire() calls.
 //
-// Producer API (push / push_wire / push_bgp / finish) must be called from
-// one thread. The minute sink runs on the score thread, and only there,
-// so non-thread-safe sinks are fine.
+// Producer API (push_wire / push_bgp / finish) must be called from one
+// thread, which is also the pool's single acquirer. The minute sink runs
+// on the score thread, and only there, so non-thread-safe sinks are fine.
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <thread>
+#include <vector>
 
 #include "runtime/batch.hpp"
 #include "runtime/counters.hpp"
@@ -53,16 +58,12 @@ struct EngineConfig {
   /// Records per ring batch (clamped by effective_batch_records so small
   /// test queues still exercise backpressure); 1 = single-record transfer.
   std::size_t batch_records = kDefaultBatchRecords;
-  /// When > 0 the engine owns a WireBufferPool of this many slots and
-  /// receivers scatter datagrams straight into pooled buffers (see
-  /// wire_pool.hpp) — the zero-allocation ingest path. 0 disables it.
-  std::size_t wire_pool_slots = 0;
-  /// Capacity of each pooled slot; must hold the largest datagram.
+  /// Slots in the engine's WireBufferPool (see wire_pool.hpp): every
+  /// datagram in flight between producer and decode worker holds one.
+  /// Must be > 0.
+  std::size_t wire_pool_slots = 4096;
+  /// Capacity of each pooled slot; longer datagrams are rejected.
   std::size_t wire_slot_bytes = 8192;
-  /// Bench/test knob: decode wire events with the throwing oracle decoder
-  /// (materialize SflowDatagram, then route) instead of the fused in-place
-  /// walk. Output is bit-identical either way; only the cost differs.
-  bool use_oracle_decoder = false;
 };
 
 /// Multi-threaded decode → shard → collect → merge → score pipeline.
@@ -76,24 +77,22 @@ class Engine {
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
 
-  /// Enqueues a decoded datagram. Returns false iff dropped (kDrop).
-  bool push(net::SflowDatagram datagram);
-
-  /// Enqueues raw sFlow wire bytes (decoded on the decode worker).
-  /// Returns false iff dropped (kDrop).
-  bool push_wire(std::vector<std::uint8_t> wire);
-
-  /// Enqueues raw sFlow wire bytes living in a pooled slot — no copy, no
-  /// allocation; the slot recycles after the decode worker walks it (and
-  /// on drop, when the event is destroyed). Returns false iff dropped.
+  /// Enqueues raw sFlow wire bytes living in a slot of wire_pool() — no
+  /// copy, no allocation; the slot recycles after the decode worker walks
+  /// it (or at once when dropped). Returns false iff dropped (kDrop).
   bool push_wire(WireSlot slot);
 
-  /// The engine's wire buffer pool, or nullptr when wire_pool_slots == 0.
-  /// Receivers acquire slots here; slots they hand to push_wire flow
-  /// through the ring and recycle automatically.
-  [[nodiscard]] WireBufferPool* wire_pool() noexcept {
-    return wire_pool_.get();
-  }
+  /// Copies raw sFlow wire bytes into a slot of the engine's pool and
+  /// enqueues it. A dry pool first flushes the pending batch so its slots
+  /// can recycle, then waits (kBlock) or drops (kDrop). Bytes longer than
+  /// `wire_slot_bytes` are rejected, never truncated. Returns false iff
+  /// dropped or rejected; both count as one input drop.
+  bool push_wire(std::span<const std::uint8_t> wire);
+
+  /// The engine's wire buffer pool (never null). Receivers acquire slots
+  /// here; slots they hand to push_wire flow through the ring and recycle
+  /// automatically.
+  [[nodiscard]] WireBufferPool* wire_pool() noexcept { return &wire_pool_; }
 
   /// Enqueues a BGP update. Updates are control-plane state the labels
   /// depend on, so they always block — never dropped, either policy.
@@ -107,31 +106,30 @@ class Engine {
   [[nodiscard]] EngineSnapshot stats() const;
 
  private:
-  struct InputEvent {
-    enum class Kind : std::uint8_t {
-      kDatagram, kWire, kPooledWire, kBgp, kFinish
-    };
-    Kind kind = Kind::kDatagram;
-    net::SflowDatagram datagram;
-    std::vector<std::uint8_t> wire;
-    WireSlot slot;  ///< kPooledWire payload (recycles on event destruction)
-    bgp::UpdateMessage update;
-    std::uint64_t now_ms = 0;
-  };
   struct ScoreItem {
     bool finish = false;
     std::uint32_t minute = 0;
     std::vector<net::FlowRecord> flows;
   };
-  /// The input ring's unit of transfer: a chunk of producer events,
-  /// flushed at `batch_records` events or on any control event.
+  /// The input ring's unit of transfer: up to `batch_records` datagram
+  /// slots, then at most one control event, which cuts the batch.
   struct InputBatch {
-    std::vector<InputEvent> events;
+    enum class Control : std::uint8_t { kNone, kBgp, kFinish };
+    std::vector<WireSlot> slots;
+    Control control = Control::kNone;
+    bgp::UpdateMessage update;  ///< kBgp
+    std::uint64_t now_ms = 0;   ///< kBgp
   };
 
   void decode_worker();
   void score_worker();
-  bool submit(InputEvent&& event);
+  /// Appends one datagram slot to the pending batch (false = dropped).
+  bool submit(WireSlot&& slot);
+  /// Attaches a control event to the pending batch and flushes it,
+  /// blocking under either policy.
+  void submit_control(InputBatch::Control control);
+  /// Counts one rejected push_wire() call.
+  bool reject();
   /// Pushes the pending batch into the input ring. `block` spins until it
   /// fits; otherwise a full ring leaves the batch pending and returns
   /// false. No-op (true) when nothing is pending.
@@ -139,10 +137,10 @@ class Engine {
 
   EngineConfig config_;
   core::MinuteBatchSink minute_sink_;
-  /// Declared before every ring: rings may hold InputEvents carrying
-  /// WireSlots at teardown, and slot destructors recycle into the pool —
-  /// reverse destruction order keeps the pool alive until they ran.
-  std::unique_ptr<WireBufferPool> wire_pool_;
+  /// Declared before every ring: rings may hold WireSlots at teardown,
+  /// and slot destructors recycle into the pool — reverse destruction
+  /// order keeps the pool alive until they ran.
+  WireBufferPool wire_pool_;
   std::size_t batch_records_;   ///< effective records per input batch
   InputBatch pending_;          ///< producer thread only
   SpscRing<InputBatch> input_ring_;

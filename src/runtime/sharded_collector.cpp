@@ -115,18 +115,8 @@ void ShardedCollector::broadcast(ShardMessage message) {
   }
 }
 
-void ShardedCollector::route_begin(net::Ipv4Address agent,
-                                   std::uint32_t sub_agent_id,
-                                   std::uint32_t sequence,
-                                   std::uint32_t uptime_ms) {
-  ++ingest_seq_;
-  route_agent_ = agent;
-  route_sub_agent_id_ = sub_agent_id;
-  route_sequence_ = sequence;
-  route_uptime_ms_ = uptime_ms;
-}
-
-void ShardedCollector::route_sample(const net::SflowFlowSample& sample) {
+void ShardedCollector::route_sample(const net::SflowHeaderView& header,
+                                    const net::SflowFlowSample& sample) {
   // Shard identity comes from the raw destination IP (pre-anonymization),
   // so a victim's flows always land in one shard.
   const std::size_t s = shard_of(sample.packet.dst_ip, shards_.size());
@@ -137,7 +127,7 @@ void ShardedCollector::route_sample(const net::SflowFlowSample& sample) {
     // drives minute binning downstream).
     sub_mark_[s] = ingest_seq_;
     open.subs.push_back(ShardSubDatagram{
-        route_agent_, route_sub_agent_id_, route_sequence_, route_uptime_ms_,
+        header.agent, header.sub_agent_id, header.sequence, header.uptime_ms,
         static_cast<std::uint32_t>(open.samples.size()), 0});
   }
   open.samples.push_back(sample);
@@ -183,40 +173,25 @@ void ShardedCollector::route_rollback() {
   }
 }
 
-void ShardedCollector::ingest(const net::SflowDatagram& datagram) {
-  // Split the datagram's samples into per-shard sub-datagrams appended to
-  // each shard's open batch (the same cursor the fused wire path drives,
-  // so both paths produce bit-identical shard streams).
-  route_begin(datagram.agent, datagram.sub_agent_id, datagram.sequence,
-              datagram.uptime_ms);
-  for (const auto& sample : datagram.samples) route_sample(sample);
-  route_commit(datagram.uptime_ms, datagram.samples.size());
-}
-
 net::DecodeStatus ShardedCollector::ingest_wire(
     std::span<const std::uint8_t> wire) {
+  ++ingest_seq_;  // fresh stamp: this datagram's samples open new subs
   net::SflowHeaderView header;
-  bool begun = false;
   std::size_t emitted = 0;
+  // The walk parses every header field before it emits the first sample.
   const net::DecodeStatus status = net::SflowView::decode(
       wire, header, [&](const net::SflowFlowSample& sample) {
-        if (!begun) {
-          // Header fields are fully parsed before the first sample emits.
-          begun = true;
-          route_begin(header.agent, header.sub_agent_id, header.sequence,
-                      header.uptime_ms);
-        }
-        route_sample(sample);
+        route_sample(header, sample);
         ++emitted;
       });
   if (status != net::DecodeStatus::kOk) {
-    // Mirror the throwing path, where the error fires before ingest():
-    // shard batches end up exactly as if the datagram never arrived.
-    if (begun) route_rollback();
+    // A malformed datagram is rejected wholesale: shard batches end up
+    // exactly as if it never arrived.
+    route_rollback();
     return status;
   }
-  // Commit even with zero routed samples so the watermark advances
-  // exactly as decode-then-ingest() of the same (empty) datagram would.
+  // Commit even with zero routed samples so the watermark still advances
+  // to this datagram's export minute.
   route_commit(header.uptime_ms, emitted);
   return net::DecodeStatus::kOk;
 }

@@ -26,7 +26,7 @@
 // is itself the canonically-ordered single-threaded core::Collector
 // output. tests/runtime/sharded_collector_test.cpp proves this.
 //
-// Threading contract: ingest / ingest_bgp / finish must be called from
+// Threading contract: ingest_wire / ingest_bgp / finish must be called from
 // ONE producer thread (they feed SPSC rings). The minute sink runs on the
 // merge thread.
 
@@ -114,17 +114,13 @@ class ShardedCollector {
   ShardedCollector(const ShardedCollector&) = delete;
   ShardedCollector& operator=(const ShardedCollector&) = delete;
 
-  /// Routes one datagram's samples to their shards and broadcasts the
-  /// watermark when it advances. Blocks while shard rings are full.
-  void ingest(const net::SflowDatagram& datagram);
-
-  /// Fused decode→route: walks the sFlow wire bytes in place and appends
-  /// each sample straight into its shard's open batch — no SflowDatagram
-  /// materialization, no route-stage copy. On a decode error the partial
-  /// route is rolled back (shard batches are exactly as if the datagram
-  /// never arrived, matching the throwing-decode path where the error
-  /// fires before ingest) and the status is returned. Produces
-  /// bit-identical shard streams to decode-then-ingest() for any wire.
+  /// Fused decode→route: walks one sFlow datagram's wire bytes in place,
+  /// appends each sample straight into its shard's open batch (no
+  /// SflowDatagram materialization, no route-stage copy) and broadcasts
+  /// the watermark when it advances. Blocks while shard rings are full.
+  /// On a decode error the partial route is rolled back — shard batches
+  /// are exactly as if the datagram never arrived — and the status is
+  /// returned.
   [[nodiscard]] net::DecodeStatus ingest_wire(
       std::span<const std::uint8_t> wire);
 
@@ -176,14 +172,12 @@ class ShardedCollector {
   [[nodiscard]] ShardMessage fresh_data_message(std::size_t s);
 
   // --- route cursor (producer thread only) ---
-  // ingest() and ingest_wire() drive the same four-step cursor, so both
-  // paths produce bit-identical shard streams: begin stamps the datagram
-  // header, sample appends one sample to its shard (opening a
-  // sub-datagram on first touch), commit does the post-datagram flush /
-  // watermark work, rollback unwinds a partially routed datagram.
-  void route_begin(net::Ipv4Address agent, std::uint32_t sub_agent_id,
-                   std::uint32_t sequence, std::uint32_t uptime_ms);
-  void route_sample(const net::SflowFlowSample& sample);
+  // ingest_wire() drives three steps: sample appends one sample to its
+  // shard (opening a sub-datagram stamped with the datagram header on
+  // first touch), commit does the post-datagram flush / watermark work,
+  // rollback unwinds a partially routed datagram.
+  void route_sample(const net::SflowHeaderView& header,
+                    const net::SflowFlowSample& sample);
   void route_commit(std::uint32_t uptime_ms, std::size_t sample_total);
   void route_rollback();
 
@@ -200,11 +194,6 @@ class ShardedCollector {
   std::vector<std::size_t> pending_samples_;
   std::vector<std::uint64_t> sub_mark_;
   std::uint64_t ingest_seq_ = 0;
-  // Header of the datagram currently being routed (route_begin → commit).
-  net::Ipv4Address route_agent_{};
-  std::uint32_t route_sub_agent_id_ = 0;
-  std::uint32_t route_sequence_ = 0;
-  std::uint32_t route_uptime_ms_ = 0;
   std::uint32_t watermark_min_ = 0;  ///< router watermark (producer thread)
   bool finished_ = false;            ///< producer thread only
   std::atomic<bool> abort_{false};

@@ -1,22 +1,23 @@
 #pragma once
 // Fixed-capacity wire buffer pool (DESIGN.md §15).
 //
-// The zero-allocation ingest path scatters received datagrams straight
-// into pooled slots: the receiver acquires a slot, the kernel writes the
-// wire bytes into it, a WireSlot handle (pool pointer + index, no heap)
-// travels the input ring, and the decode worker releases the slot after
-// the in-place walk. Capacity is fixed at construction — under flood the
-// pool runs dry and the receiver falls back to counted copies instead of
-// growing, so ingest memory is bounded no matter what the wire does.
+// Every datagram the engine ingests sits in a pooled slot: the receiver
+// acquires a slot and the kernel writes the wire bytes into it (or
+// Engine::push_wire copies them in), a WireSlot handle (pool pointer +
+// index, no heap) travels the input ring, and the decode worker releases
+// the slot after the in-place walk. Capacity is fixed at construction —
+// under flood the pool runs dry and the producer waits or drops, per the
+// engine's backpressure policy, instead of growing, so ingest memory is
+// bounded no matter what the wire does.
 //
-// Concurrency shape: ONE acquiring thread (the receiver), any number of
-// releasing threads (in practice the decode worker, plus teardown paths
-// destroying stranded handles). Releases push onto a Treiber free stack;
-// the acquirer detaches the whole stack at once into a private LIFO
-// cache, so there is no ABA window (pop-all, never pop-one) and the
-// steady state touches the shared head once per drained batch. Both
-// paths are lock-free and allocation-free; the only allocations are the
-// three arrays in the constructor.
+// Concurrency shape: ONE acquiring thread (the engine's producer), any
+// number of releasing threads (in practice the decode worker, plus
+// teardown paths destroying stranded handles). Releases push onto a
+// Treiber free stack; the acquirer detaches the whole stack at once into
+// a private LIFO cache, so there is no ABA window (pop-all, never
+// pop-one) and the steady state touches the shared head once per drained
+// batch. Both paths are lock-free and allocation-free; the only
+// allocations are the three arrays in the constructor.
 
 #include <atomic>
 #include <cstddef>
@@ -62,7 +63,7 @@ class WireSlot {
   [[nodiscard]] inline const std::uint8_t* data() const noexcept;
   [[nodiscard]] inline std::size_t capacity() const noexcept;
 
-  /// Bytes of the datagram currently held (set by the receiver).
+  /// Bytes of the datagram currently held (set by the writer).
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
   void set_size(std::size_t size) noexcept {
     size_ = static_cast<std::uint32_t>(size);
@@ -92,11 +93,9 @@ class WireBufferPool {
   WireBufferPool(std::size_t slots, std::size_t slot_bytes)
       : slots_(slots),
         slot_bytes_(slot_bytes),
-        storage_(slots > 0 ? std::make_unique<std::uint8_t[]>(slots * slot_bytes)
-                           : nullptr),
-        next_(slots > 0 ? std::make_unique<std::atomic<std::uint32_t>[]>(slots)
-                        : nullptr),
-        cache_(slots > 0 ? std::make_unique<std::uint32_t[]>(slots) : nullptr),
+        storage_(std::make_unique<std::uint8_t[]>(slots * slot_bytes)),
+        next_(std::make_unique<std::atomic<std::uint32_t>[]>(slots)),
+        cache_(std::make_unique<std::uint32_t[]>(slots)),
         cache_count_(slots) {
     // Seed the acquirer cache with every slot (low indices handed out
     // first) so startup never touches the shared free stack.
@@ -117,6 +116,14 @@ class WireBufferPool {
   /// Acquires a free slot; empty handle when the pool is dry (counted in
   /// exhausted()). Must be called from one thread only.
   [[nodiscard]] WireSlot try_acquire() noexcept {
+    WireSlot slot = try_acquire_uncounted();
+    if (!slot) exhausted_.fetch_add(1, std::memory_order_relaxed);
+    return slot;
+  }
+
+  /// try_acquire() without counting a dry pool: for a caller that already
+  /// counted this datagram's miss and is waiting for a slot to recycle.
+  [[nodiscard]] WireSlot try_acquire_uncounted() noexcept {
     SCRUBBER_ASSERT_THREAD(acquire_owner_, "WireBufferPool acquire endpoint");
     if (cache_count_ == 0) {
       // Detach the whole free stack in one exchange (pop-all: no ABA).
@@ -127,10 +134,7 @@ class WireBufferPool {
         head = next_[head].load(std::memory_order_relaxed);
       }
     }
-    if (cache_count_ == 0) {
-      exhausted_.fetch_add(1, std::memory_order_relaxed);
-      return WireSlot{};
-    }
+    if (cache_count_ == 0) return WireSlot{};
     const std::uint32_t index = cache_[--cache_count_];
     const std::uint64_t used =
         in_use_.fetch_add(1, std::memory_order_relaxed) + 1;
@@ -165,7 +169,7 @@ class WireBufferPool {
     return highwater_.load(std::memory_order_relaxed);
   }
   /// try_acquire() calls that found the pool dry (each one is a datagram
-  /// the receiver had to copy or drop).
+  /// that had to wait for a slot, be copied from scratch, or be dropped).
   [[nodiscard]] std::uint64_t exhausted() const noexcept {
     return exhausted_.load(std::memory_order_relaxed);
   }

@@ -117,19 +117,6 @@ TEST(Collector, AnonymizesWhenConfigured) {
   }
 }
 
-TEST(Collector, WireIngestion) {
-  std::size_t flows = 0;
-  Collector collector(make_config(),
-                      [&](std::uint32_t, std::span<const net::FlowRecord> f) {
-                        flows += f.size();
-                      });
-  collector.ingest_wire(datagram_at(0, 100).encode());
-  collector.flush();
-  EXPECT_EQ(flows, 3u);
-  EXPECT_EQ(collector.datagrams(), 1u);
-  EXPECT_THROW(collector.ingest_wire({1, 2, 3}), net::SflowDecodeError);
-}
-
 TEST(Collector, ReorderSlackToleratesLateDatagrams) {
   std::map<std::uint32_t, std::size_t> batches;
   Collector collector(make_config(10, 2),

@@ -1,8 +1,8 @@
 // Oracle equivalence for the histogram training engine: the production
 // fit() (partition-based, packed (g,h) histograms, u8 codes, cached
 // binning — src/ml/gbt.cpp) must produce serialized model bytes EQUAL to
-// the embedded seed engine (bench/gbt_oracle.hpp, global scans + u16 +
-// upper_bound) on the same data and params, at every thread count. This
+// the seed engine kept in tests/oracles/gbt_oracle.hpp (global scans +
+// u16 + upper_bound) on the same data and params, at every thread count. This
 // is the refactor's contract: faster, not different.
 
 #include <gtest/gtest.h>
@@ -10,7 +10,7 @@
 #include <string>
 #include <vector>
 
-#include "../../bench/gbt_oracle.hpp"
+#include "../oracles/gbt_oracle.hpp"
 #include "ml/bin_cache.hpp"
 #include "ml/dataset.hpp"
 #include "ml/gbt.hpp"

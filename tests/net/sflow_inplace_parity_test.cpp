@@ -1,14 +1,15 @@
 // Parity fuzz suite: the in-place, non-throwing SflowView::decode must be
-// bit-identical to the throwing oracle SflowDatagram::decode on EVERY
-// input — hostile or well-formed. The oracle stays the specification; the
-// fused wire hot path earns its keep only while this suite holds:
+// bit-identical to the throwing reference decoder (oracle::decode_sflow)
+// on EVERY input — hostile or well-formed. The oracle stays the
+// specification; the fused wire hot path earns its keep only while this
+// suite holds:
 //
 //   * oracle throws  ⇔  view returns a non-kOk status;
 //   * when both accept, the header fields and the emitted sample sequence
 //     equal the oracle's datagram field-for-field;
-//   * at the engine level, the fused decode→route path and the oracle
-//     decode path produce identical merged minute batches and identical
-//     accounting (datagrams + decode_errors == buffers pushed).
+//   * at the engine level, the fused decode→route path produces the same
+//     minute batches as a serial core::Collector fed by the oracle, with
+//     identical accounting (datagrams + decode_errors == buffers pushed).
 //
 // Every case is generated from a fixed seed so failures reproduce exactly.
 
@@ -16,10 +17,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
-#include <utility>
+#include <map>
 #include <vector>
 
+#include "../oracles/sflow_decode.hpp"
+#include "core/collector.hpp"
 #include "runtime/engine.hpp"
 #include "util/rng.hpp"
 
@@ -77,9 +81,9 @@ void expect_parity(const std::vector<std::uint8_t>& wire) {
   bool oracle_accepted = false;
   SflowDatagram oracle;
   try {
-    oracle = SflowDatagram::decode(wire);
+    oracle = oracle::decode_sflow(wire);
     oracle_accepted = true;
-  } catch (const SflowDecodeError&) {
+  } catch (const oracle::SflowDecodeError&) {
   }
   if (oracle_accepted) {
     ASSERT_EQ(view.status, DecodeStatus::kOk)
@@ -182,7 +186,7 @@ TEST(SflowInplaceParity, OverdeclaredSampleCountRejectedByBoth) {
       set_sample_count(wire, declared);
       const ViewResult view = view_decode(wire);
       EXPECT_EQ(view.status, DecodeStatus::kTruncated);
-      EXPECT_THROW((void)SflowDatagram::decode(wire), SflowDecodeError);
+      EXPECT_THROW((void)oracle::decode_sflow(wire), oracle::SflowDecodeError);
     }
   }
 }
@@ -206,55 +210,72 @@ TEST(SflowInplaceParity, UnderdeclaredSampleCountAcceptsPrefixInBoth) {
 }
 
 TEST(SflowInplaceParity, EngineFusedPathMatchesOracleDecoderEndToEnd) {
-  // The same seeded wire stream — mostly valid, some truncated, some
-  // bit-flipped — through two engines: the default fused decode→route
-  // path and the use_oracle_decoder comparison path. Merged minute
-  // batches and accounting must be identical, and every pushed buffer
-  // must be accounted for as a datagram or a decode error.
-  const auto run = [](bool use_oracle) {
-    util::Rng rng(kSeed ^ 7);  // identical stream for both runs
-    runtime::EngineConfig config;
-    config.shards = 3;
-    config.queue_capacity = 256;
-    config.backpressure = runtime::Backpressure::kBlock;
-    config.use_oracle_decoder = use_oracle;
-    config.collector.sampling_rate = 1;
-    std::vector<std::pair<std::uint32_t, std::vector<FlowRecord>>> out;
-    std::uint64_t pushed = 0;
-    runtime::Engine engine(
-        config, [&](std::uint32_t minute, std::span<const FlowRecord> flows) {
-          out.emplace_back(minute,
-                           std::vector<FlowRecord>(flows.begin(), flows.end()));
-        });
-    for (int i = 0; i < 400; ++i) {
-      SflowDatagram datagram = random_datagram(rng);
-      // Mostly monotonic export minutes so most samples land in open bins.
-      datagram.uptime_ms = static_cast<std::uint32_t>(i / 4) * 60'000u;
-      auto wire = datagram.encode();
-      const double kind = rng.uniform();
-      if (kind < 0.2 && !wire.empty()) {
-        wire.resize(rng.below(wire.size()));  // truncate
-      } else if (kind < 0.4) {
-        const std::size_t bit = rng.below(wire.size() * 8);
-        wire[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
-      }  // else: leave valid
-      EXPECT_TRUE(engine.push_wire(std::move(wire)));
-      ++pushed;
-    }
-    engine.finish();
-    const runtime::EngineSnapshot snapshot = engine.stats();
-    EXPECT_EQ(snapshot.datagrams + snapshot.decode_errors, pushed);
-    EXPECT_EQ(snapshot.input_drops, 0u);  // kBlock never sheds
-    return std::make_pair(out, snapshot);
-  };
+  // One seeded wire stream — mostly valid, some truncated, some
+  // bit-flipped — through the engine's fused decode→route path and through
+  // a serial core::Collector fed by the oracle decoder. Merged minute
+  // batches (canonically ordered) and accounting must be identical, and
+  // every pushed buffer must be accounted for as a datagram or a decode
+  // error.
+  std::vector<std::vector<std::uint8_t>> stream;
+  util::Rng rng(kSeed ^ 7);
+  for (int i = 0; i < 400; ++i) {
+    SflowDatagram datagram = random_datagram(rng);
+    // Mostly monotonic export minutes so most samples land in open bins.
+    datagram.uptime_ms = static_cast<std::uint32_t>(i / 4) * 60'000u;
+    auto wire = datagram.encode();
+    const double kind = rng.uniform();
+    if (kind < 0.2 && !wire.empty()) {
+      wire.resize(rng.below(wire.size()));  // truncate
+    } else if (kind < 0.4) {
+      const std::size_t bit = rng.below(wire.size() * 8);
+      wire[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+    }  // else: leave valid
+    stream.push_back(std::move(wire));
+  }
 
-  const auto [fused_out, fused_snap] = run(false);
-  const auto [oracle_out, oracle_snap] = run(true);
-  EXPECT_EQ(fused_out, oracle_out);
-  EXPECT_EQ(fused_snap.datagrams, oracle_snap.datagrams);
-  EXPECT_EQ(fused_snap.decode_errors, oracle_snap.decode_errors);
-  EXPECT_EQ(fused_snap.flows_out, oracle_snap.flows_out);
-  EXPECT_FALSE(fused_out.empty());
+  using MinuteBatches = std::map<std::uint32_t, std::vector<FlowRecord>>;
+  core::Collector::Config collector_config;
+  collector_config.sampling_rate = 1;
+
+  MinuteBatches expected;
+  std::uint64_t oracle_errors = 0;
+  core::Collector serial(
+      collector_config,
+      [&](std::uint32_t minute, std::span<const FlowRecord> flows) {
+        auto& bucket = expected[minute];
+        bucket.assign(flows.begin(), flows.end());
+        std::sort(bucket.begin(), bucket.end(), runtime::canonical_flow_less);
+      });
+  for (const auto& wire : stream) {
+    try {
+      serial.ingest(oracle::decode_sflow(wire));
+    } catch (const oracle::SflowDecodeError&) {
+      ++oracle_errors;
+    }
+  }
+  serial.flush();
+
+  runtime::EngineConfig config;
+  config.shards = 3;
+  config.queue_capacity = 256;
+  config.backpressure = runtime::Backpressure::kBlock;
+  config.collector = collector_config;
+  MinuteBatches actual;
+  runtime::Engine engine(
+      config, [&](std::uint32_t minute, std::span<const FlowRecord> flows) {
+        actual[minute].assign(flows.begin(), flows.end());
+      });
+  for (const auto& wire : stream) EXPECT_TRUE(engine.push_wire(wire));
+  engine.finish();
+
+  const runtime::EngineSnapshot snapshot = engine.stats();
+  EXPECT_EQ(snapshot.datagrams + snapshot.decode_errors, stream.size());
+  EXPECT_EQ(snapshot.decode_errors, oracle_errors);
+  EXPECT_EQ(snapshot.datagrams, serial.datagrams());
+  EXPECT_EQ(snapshot.input_drops, 0u);  // kBlock never sheds
+  EXPECT_EQ(snapshot.flows_out, serial.flows_emitted());
+  EXPECT_EQ(actual, expected);
+  EXPECT_FALSE(actual.empty());
 }
 
 }  // namespace

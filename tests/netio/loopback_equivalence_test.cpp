@@ -1,6 +1,7 @@
 // Loopback equivalence: the wire path (encode → UDP loopback → batched
 // listener → engine decode) must produce verdicts bit-identical to the
-// in-process feed (push(datagram), no wire) for the same seeded trace —
+// in-process feed (push_wire of the same encoded bytes, no socket) for the
+// same seeded trace —
 // same detections, same flow/minute/sample counts, same BGP interleave.
 // This is the end-to-end proof that src/netio adds a transport, not a
 // semantic: DESIGN.md §11's correctness anchor for every latency number
@@ -104,7 +105,7 @@ Verdicts in_process_verdicts(const Trace& trace) {
                           60'000);
       ++next_update;
     }
-    engine.push(datagram);
+    engine.push_wire(datagram.encode());
   }
   engine.finish();
   const runtime::EngineSnapshot snapshot = engine.stats();

@@ -196,6 +196,19 @@ TEST(UdpListener, StopEndsTheRunFromAnotherThread) {
   engine.finish();
 }
 
+TEST(UdpListener, RejectsAWirePoolNoLargerThanTheReceiveBatch) {
+  // The receiver keeps a batch of slots armed; a dry-pool fallback must
+  // be able to wait for a slot the engine returns, never one it holds.
+  runtime::EngineConfig config;
+  config.shards = 1;
+  config.wire_pool_slots = 32;
+  runtime::Engine engine(config, nullptr);
+  ListenerConfig listener_config;
+  listener_config.batch_msgs = 32;
+  EXPECT_THROW(UdpListener(listener_config, engine, nullptr), NetioError);
+  engine.finish();
+}
+
 #if SCRUBBER_IO_URING
 TEST(UdpListener, UringBuildSelectsAWorkingBackend) {
   // kAuto must come up with *some* backend; when the kernel permits

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <stdexcept>
 #include <thread>
+#include <utility>
 #include <vector>
 
 namespace scrubber::runtime {
@@ -29,6 +31,33 @@ net::SflowDatagram datagram_at(std::uint32_t minute, std::uint32_t dst,
   return datagram;
 }
 
+std::vector<std::uint8_t> wire_at(std::uint32_t minute, std::uint32_t dst,
+                                  std::uint32_t samples = 2) {
+  return datagram_at(minute, dst, samples).encode();
+}
+
+using MinuteBatches =
+    std::vector<std::pair<std::uint32_t, std::vector<net::FlowRecord>>>;
+
+/// Runs `minutes` x 4 datagrams through an engine built from `config` and
+/// returns every merged minute batch in delivery order.
+MinuteBatches run_engine(const EngineConfig& config, std::uint32_t minutes) {
+  MinuteBatches out;
+  Engine engine(config,
+                [&](std::uint32_t minute, std::span<const net::FlowRecord> f) {
+                  out.emplace_back(
+                      minute, std::vector<net::FlowRecord>(f.begin(), f.end()));
+                });
+  for (std::uint32_t minute = 0; minute < minutes; ++minute) {
+    for (std::uint32_t d = 0; d < 4; ++d) {
+      EXPECT_TRUE(engine.push_wire(wire_at(minute, 0xC0A80000 + 16 * d)));
+    }
+  }
+  engine.finish();
+  EXPECT_EQ(engine.stats().input_drops, 0u);
+  return out;
+}
+
 TEST(Engine, DeliversEveryMinuteInOrderUnderBlockPolicy) {
   EngineConfig config;
   config.shards = 4;
@@ -47,7 +76,7 @@ TEST(Engine, DeliversEveryMinuteInOrderUnderBlockPolicy) {
   constexpr std::uint32_t kMinutes = 120;
   for (std::uint32_t minute = 0; minute < kMinutes; ++minute) {
     for (std::uint32_t d = 0; d < 3; ++d) {
-      EXPECT_TRUE(engine.push(datagram_at(minute, 0xC0A80000 + 16 * d)));
+      EXPECT_TRUE(engine.push_wire(wire_at(minute, 0xC0A80000 + 16 * d)));
     }
   }
   engine.finish();
@@ -77,20 +106,7 @@ TEST(Engine, OutputInvariantUnderBatchSize) {
     config.batch_records = batch_records;
     config.backpressure = Backpressure::kBlock;
     config.collector.sampling_rate = 1;
-    std::vector<std::pair<std::uint32_t, std::vector<net::FlowRecord>>> out;
-    Engine engine(
-        config, [&](std::uint32_t minute, std::span<const net::FlowRecord> f) {
-          out.emplace_back(minute,
-                           std::vector<net::FlowRecord>(f.begin(), f.end()));
-        });
-    for (std::uint32_t minute = 0; minute < 90; ++minute) {
-      for (std::uint32_t d = 0; d < 4; ++d) {
-        EXPECT_TRUE(engine.push(datagram_at(minute, 0xC0A80000 + 16 * d)));
-      }
-    }
-    engine.finish();
-    EXPECT_EQ(engine.stats().input_drops, 0u);
-    return out;
+    return run_engine(config, 90);
   };
 
   const auto reference = run_with_batch(1);
@@ -115,7 +131,7 @@ TEST(Engine, DropPolicyShedsLoadWithoutDeadlock) {
   constexpr std::uint32_t kMinutes = 400;
   std::uint64_t accepted = 0;
   for (std::uint32_t minute = 0; minute < kMinutes; ++minute) {
-    if (engine.push(datagram_at(minute, 0xC0A80000))) ++accepted;
+    if (engine.push_wire(wire_at(minute, 0xC0A80000))) ++accepted;
   }
   engine.finish();  // must return: bounded queues + drops, no deadlock
 
@@ -137,9 +153,10 @@ TEST(Engine, WirePathDecodesAndCountsErrors) {
                   flows += f.size();
                 });
   for (std::uint32_t minute = 0; minute < 10; ++minute) {
-    EXPECT_TRUE(engine.push_wire(datagram_at(minute, 0xC0A80000).encode()));
+    EXPECT_TRUE(engine.push_wire(wire_at(minute, 0xC0A80000)));
   }
-  EXPECT_TRUE(engine.push_wire({0xDE, 0xAD, 0xBE, 0xEF}));  // malformed
+  EXPECT_TRUE(engine.push_wire(  // malformed
+      std::vector<std::uint8_t>{0xDE, 0xAD, 0xBE, 0xEF}));
   engine.finish();
 
   const EngineSnapshot stats = engine.stats();
@@ -168,7 +185,7 @@ TEST(Engine, BgpUpdatesLabelFlowsThroughThePipeline) {
                       64512, net::Ipv4Address(1)),
                   0);
   for (std::uint32_t minute = 0; minute < 20; ++minute) {
-    EXPECT_TRUE(engine.push(datagram_at(minute, 0xC0A80000)));
+    EXPECT_TRUE(engine.push_wire(wire_at(minute, 0xC0A80000)));
   }
   engine.finish();
 
@@ -182,13 +199,88 @@ TEST(Engine, StatsSnapshotIsCallableMidRun) {
   config.shards = 2;
   Engine engine(config, nullptr);
   for (std::uint32_t minute = 0; minute < 5; ++minute) {
-    EXPECT_TRUE(engine.push(datagram_at(minute, 0xC0A80000)));
+    EXPECT_TRUE(engine.push_wire(wire_at(minute, 0xC0A80000)));
   }
   const EngineSnapshot mid = engine.stats();  // running workers
   EXPECT_GE(mid.wall_seconds, 0.0);
   EXPECT_EQ(mid.stages.size(), 5u);  // decode, route, collect, merge, score
   engine.finish();
   EXPECT_EQ(engine.stats().datagrams, 5u);
+}
+
+TEST(Engine, OneSlotPoolUnderBlockMatchesFullPool) {
+  // Every push_wire(span) after the first finds the single slot still in
+  // the pending batch: the engine must flush that batch before waiting,
+  // or the producer would wait for a slot only it can release.
+  EngineConfig config;
+  config.shards = 2;
+  config.queue_capacity = 64;
+  config.backpressure = Backpressure::kBlock;
+  config.collector.sampling_rate = 1;
+  const MinuteBatches reference = run_engine(config, 60);
+  ASSERT_EQ(reference.size(), 60u);
+
+  config.wire_pool_slots = 1;
+  EXPECT_EQ(run_engine(config, 60), reference);
+}
+
+TEST(Engine, DryPoolUnderDropCountsEveryRejectedPush) {
+  EngineConfig config;
+  config.shards = 2;
+  config.backpressure = Backpressure::kDrop;
+  config.wire_pool_slots = 4;
+  config.collector.sampling_rate = 1;
+  Engine engine(config, nullptr);
+
+  // Hold every slot: the producer thread is the pool's acquirer.
+  std::vector<WireSlot> held;
+  while (WireSlot slot = engine.wire_pool()->try_acquire()) {
+    held.push_back(std::move(slot));
+  }
+  ASSERT_EQ(held.size(), 4u);
+  for (std::uint32_t minute = 0; minute < 10; ++minute) {
+    EXPECT_FALSE(engine.push_wire(wire_at(minute, 0xC0A80000)));
+  }
+  EXPECT_EQ(engine.stats().input_drops, 10u);
+
+  held.clear();  // slots recycle; pushes are accepted again
+  EXPECT_TRUE(engine.push_wire(wire_at(10, 0xC0A80000)));
+  engine.finish();
+  const EngineSnapshot stats = engine.stats();
+  EXPECT_EQ(stats.input_drops, 10u);
+  EXPECT_EQ(stats.datagrams, 1u);
+  EXPECT_EQ(stats.pool_in_use, 0u);
+}
+
+TEST(Engine, OversizeDatagramIsRejectedNotTruncated) {
+  EngineConfig config;
+  config.shards = 1;
+  config.wire_slot_bytes = 256;
+  config.collector.sampling_rate = 1;
+  std::uint64_t flows = 0;
+  Engine engine(config, [&](std::uint32_t, std::span<const net::FlowRecord> f) {
+    flows += f.size();
+  });
+
+  const std::vector<std::uint8_t> big = wire_at(0, 0xC0A80000, 4);
+  ASSERT_GT(big.size(), 256u);  // a valid datagram that would decode
+  EXPECT_FALSE(engine.push_wire(big));
+  const std::vector<std::uint8_t> fits = wire_at(0, 0xC0A80000, 1);
+  ASSERT_LE(fits.size(), 256u);
+  EXPECT_TRUE(engine.push_wire(fits));
+  engine.finish();
+
+  const EngineSnapshot stats = engine.stats();
+  EXPECT_EQ(stats.input_drops, 1u);
+  EXPECT_EQ(stats.decode_errors, 0u);  // rejected whole, never cut short
+  EXPECT_EQ(stats.datagrams, 1u);
+  EXPECT_EQ(flows, 1u);
+}
+
+TEST(Engine, RejectsAnEmptyWirePool) {
+  EngineConfig config;
+  config.wire_pool_slots = 0;
+  EXPECT_THROW(Engine(config, nullptr), std::invalid_argument);
 }
 
 }  // namespace

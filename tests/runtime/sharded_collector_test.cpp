@@ -99,7 +99,8 @@ MinuteBatches run_sharded(const std::vector<CaptureEvent>& events,
     if (event.is_bgp) {
       collector.ingest_bgp(event.update, std::uint64_t{event.minute} * 60'000);
     } else {
-      collector.ingest(event.datagram);
+      EXPECT_EQ(collector.ingest_wire(event.datagram.encode()),
+                net::DecodeStatus::kOk);
     }
   }
   collector.finish();

@@ -9,7 +9,9 @@
 // without a single heap allocation. This test makes the claim executable:
 // a counting global operator new observes the whole process, the engine is
 // warmed until every recycle ring is primed, and then a measured window of
-// pooled pushes must leave the allocation counter exactly where it was.
+// pushes — slots filled by the caller and by the engine's copying
+// push_wire(span) entry alike — must leave the allocation counter exactly
+// where it was.
 //
 // The counting overrides are compiled only in SCRUBBER_CHECKED builds and
 // never under sanitizers (ASan/TSan/MSan interpose their own allocator and
@@ -25,6 +27,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <new>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -128,11 +131,18 @@ std::vector<std::vector<std::uint8_t>> make_corpus() {
   return corpus;
 }
 
-/// Pushes one full corpus round through pooled slots, spinning (not
-/// sleeping, not allocating) when the pool is momentarily dry.
+/// Pushes one full corpus round through pooled slots — filled here, or by
+/// the engine's copying push_wire(span) entry when `copy` is set —
+/// spinning (not sleeping, not allocating) when the pool is momentarily
+/// dry.
 void push_round(Engine& engine, WireBufferPool& pool,
-                const std::vector<std::vector<std::uint8_t>>& corpus) {
+                const std::vector<std::vector<std::uint8_t>>& corpus,
+                bool copy) {
   for (const std::vector<std::uint8_t>& wire : corpus) {
+    if (copy) {
+      engine.push_wire(std::span<const std::uint8_t>(wire));
+      continue;
+    }
     WireSlot slot;
     while (!(slot = pool.try_acquire())) {
       std::this_thread::yield();  // decode is draining; bounded wait
@@ -183,7 +193,7 @@ TEST(ZeroAlloc, SteadyStatePooledIngestDoesNotAllocate) {
   // shard recycle rings fill with their steady-state fleets, the flow
   // cache reaches its final table size for this key set.
   for (int round = 0; round < 8; ++round) {
-    push_round(engine, *pool, corpus);
+    push_round(engine, *pool, corpus, round % 2 == 1);
   }
   quiesce(*pool);
 
@@ -191,7 +201,7 @@ TEST(ZeroAlloc, SteadyStatePooledIngestDoesNotAllocate) {
   // verdicts are collected and checked after.
   const std::uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
   for (int round = 0; round < 4; ++round) {
-    push_round(engine, *pool, corpus);
+    push_round(engine, *pool, corpus, round % 2 == 1);
   }
   quiesce(*pool);
   const std::uint64_t after = g_alloc_count.load(std::memory_order_relaxed);

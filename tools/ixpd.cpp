@@ -2,21 +2,22 @@
 // streaming engine into the live detector.
 //
 //   ixpd --profile us2 --minutes 2880 --shards 4 [--seed 7]
-//        [--sampling 10] [--queue 4096] [--policy block|drop] [--wire 1]
+//        [--sampling 10] [--queue 4096] [--policy block|drop]
 //        [--batch 512] [--gen-threads N] [--train-threads N]
 //        [--agg-threads N] [--simd auto|scalar|avx2]
 //        [--stats-every 240] [--warmup 1440] [--retrain 1440]
 //   ixpd --listen <port> [--bind 127.0.0.1] [--backend auto|recvmmsg|io_uring]
-//        [--recv-batch 32] [--idle-stop-ms 0] [--pool-slots 4096]
+//        [--recv-batch 32] [--idle-stop-ms 0]
 //        --profile ... --minutes ...
 //
 // The daemon replays a seeded synthetic trace (the repo's stand-in for the
 // IXP's sFlow + BGP feeds, DESIGN.md §1) as fast as the engine accepts it:
-// every minute of flows is expanded back into sFlow datagrams (optionally
-// full wire encoding, exercising the decoder), interleaved with the BGP
-// blackhole announcements, and pushed through decode → shard → collect →
-// merge → score. The score stage feeds core::LiveDetector, which trains
-// after the warmup day and then emits detections, printed as they happen.
+// every minute of flows is expanded back into sFlow datagrams, encoded to
+// wire bytes, interleaved with the BGP blackhole announcements, and pushed
+// through decode → shard → collect → merge → score — the same wire bytes
+// and the same engine entry as --listen, minus the socket. The score stage
+// feeds core::LiveDetector, which trains after the warmup day and then
+// emits detections, printed as they happen.
 // A stats heartbeat prints every --stats-every minutes of stream time and
 // a final throughput report (flows/sec, per-stage utilization) at exit.
 //
@@ -98,7 +99,6 @@ int run(int argc, char** argv) {
       static_cast<std::uint32_t>(args.number("minutes", 2880));
   const std::uint64_t seed = args.number("seed", 7);
   const auto sampling = static_cast<std::uint32_t>(args.number("sampling", 10));
-  const bool wire = args.number("wire", 0) != 0;
   const std::uint32_t stats_every =
       static_cast<std::uint32_t>(args.number("stats-every", 240));
   // Trace generation threads: the source is deterministic for any value
@@ -135,13 +135,6 @@ int run(int argc, char** argv) {
   engine_config.collector.sampling_rate = sampling;
   engine_config.batch_records =
       static_cast<std::size_t>(args.number("batch", runtime::kDefaultBatchRecords));
-  // Pooled wire buffers for --listen mode: the receiver scatters datagrams
-  // straight into pool slots and the ring carries handles — the
-  // zero-allocation ingest path (DESIGN.md §15). 0 reverts to copying each
-  // datagram into a heap vector; ignored without --listen. The heartbeat
-  // and final report show pool occupancy/highwater/exhaustion when active.
-  engine_config.wire_pool_slots = static_cast<std::size_t>(args.number(
-      "pool-slots", args.get("listen", "").empty() ? 0 : 4096));
 
   core::LiveDetectorConfig detector_config;
   detector_config.warmup_min =
@@ -230,11 +223,11 @@ int run(int argc, char** argv) {
     listener_summary = snapshot.summary();
   } else {
     std::printf("ixpd: profile=%s minutes=%u shards=%zu queue=%zu batch=%zu "
-                "policy=%s sampling=1/%u wire=%d gen-threads=%u "
+                "policy=%s sampling=1/%u gen-threads=%u "
                 "train-threads=%u agg-threads=%u simd=%s seed=%llu\n",
                 profile.name.c_str(), minutes, engine_config.shards,
                 engine_config.queue_capacity, engine_config.batch_records,
-                policy.c_str(), sampling, wire, gen_threads, train_threads,
+                policy.c_str(), sampling, gen_threads, train_threads,
                 detector_config.agg_threads,
                 util::simd_level_name(util::simd_level()),
                 static_cast<unsigned long long>(seed));
@@ -255,11 +248,7 @@ int run(int argc, char** argv) {
           }
           for (const auto& datagram :
                core::flows_to_datagrams(flows, sampling, agent)) {
-            if (wire) {
-              engine.push_wire(datagram.encode());
-            } else {
-              engine.push(datagram);
-            }
+            engine.push_wire(datagram.encode());
           }
           if (stats_every != 0 && minute != 0 && minute % stats_every == 0) {
             std::printf("STATS minute=%u %s\n", minute,
