@@ -89,7 +89,8 @@ void run_site(const std::string& name,
     if (d >= 0.0) day_scores.push_back(d);
     if (wk >= 0.0) week_scores.push_back(wk);
     if (mo >= 0.0) month_scores.push_back(mo);
-    oneshot.add_row({"W" + std::to_string(w), cell(d), cell(wk), cell(mo)});
+    oneshot.add_row({std::string("W").append(std::to_string(w)), cell(d),
+                     cell(wk), cell(mo)});
   }
   oneshot.add_row({"median", cell(util::median(day_scores)),
                    cell(util::median(week_scores)),
@@ -110,7 +111,8 @@ void run_site(const std::string& name,
     if (d >= 0.0) s_day.push_back(d);
     if (wk >= 0.0) s_week.push_back(wk);
     if (mo >= 0.0) s_month.push_back(mo);
-    sliding.add_row({"W" + std::to_string(w), cell(d), cell(wk), cell(mo)});
+    sliding.add_row({std::string("W").append(std::to_string(w)), cell(d),
+                     cell(wk), cell(mo)});
   }
   sliding.add_row({"median", cell(util::median(s_day)),
                    cell(util::median(s_week)), cell(util::median(s_month))});

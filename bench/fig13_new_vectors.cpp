@@ -107,8 +107,10 @@ int main() {
     std::vector<net::FlowRecord> bucket;
     for (std::uint32_t k = w; k < w + 4; ++k)
       bucket.insert(bucket.end(), weeks[k].begin(), weeks[k].end());
-    std::vector<std::string> row{
-        "W" + std::to_string(w) + "-" + std::to_string(w + 3)};
+    std::vector<std::string> row{std::string("W")
+                                     .append(std::to_string(w))
+                                     .append("-")
+                                     .append(std::to_string(w + 3))};
     for (const auto& t : tracked) row.push_back(util::fmt(port_woe(bucket, t.port), 2));
     row.push_back(util::fmt(port_woe(bucket, 80, 6), 2));
     woe_table.add_row(row);
@@ -132,7 +134,7 @@ int main() {
     ml::Pipeline pipeline = ml::make_model_pipeline(ml::ModelKind::kXgb);
     pipeline.fit(train.data);
     const auto predictions = pipeline.predict_all(test.data);
-    inc.add_row({"W" + std::to_string(w),
+    inc.add_row({std::string("W").append(std::to_string(w)),
                  util::fmt(per_vector_fbeta(test, predictions, net::DdosVector::kSnmp)),
                  util::fmt(per_vector_fbeta(test, predictions, net::DdosVector::kSsdp)),
                  util::fmt(per_vector_fbeta(test, predictions,

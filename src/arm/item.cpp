@@ -17,7 +17,12 @@ constexpr std::uint16_t kKnownPorts[] = {
 [[nodiscard]] std::string bucket_to_string(std::uint32_t bucket) {
   const std::uint32_t lo = bucket * kPacketSizeBucket;
   const std::uint32_t hi = lo + kPacketSizeBucket;
-  return "(" + std::to_string(lo) + "," + std::to_string(hi) + "]";
+  std::string out = "(";
+  out += std::to_string(lo);
+  out += ',';
+  out += std::to_string(hi);
+  out += ']';
+  return out;
 }
 
 [[nodiscard]] std::string complement_ports_string() {

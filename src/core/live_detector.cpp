@@ -4,8 +4,7 @@ namespace scrubber::core {
 
 LiveDetector::LiveDetector(LiveDetectorConfig config, DetectionSink sink)
     : config_(config), sink_(std::move(sink)) {
-  ScrubberConfig scrubber_config;
-  scrubber_config.model = config_.model;
+  ScrubberConfig scrubber_config;  // default model: the XGB pipeline
   scrubber_config.mining = config_.mining;
   scrubber_config.seed = config_.seed;
   scrubber_config.agg_threads = config_.agg_threads;

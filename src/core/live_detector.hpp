@@ -4,7 +4,7 @@
 // LiveDetector packages the deployment recipe the paper's evaluation
 // arrives at: labeled (blackholing) traffic is balanced online and kept in
 // a sliding training window; the two-step model (tagging rules + WoE +
-// classifier) is retrained on a schedule (§6.3 recommends daily retraining
+// XGB classifier) is retrained on a schedule (§6.3 recommends daily retraining
 // over the trailing month); and every live minute is aggregated and scored,
 // emitting detections with ready-to-push ACL entries for targets above a
 // minimum traffic threshold (classifying every single-flow target would
@@ -22,7 +22,6 @@ namespace scrubber::core {
 
 /// Deployment configuration.
 struct LiveDetectorConfig {
-  ml::ModelKind model = ml::ModelKind::kXgb;
   std::uint32_t min_flows_per_target = 8;    ///< detection traffic threshold
   std::uint32_t retrain_interval_min = 24 * 60;      ///< daily (paper §6.3)
   std::uint32_t training_window_min = 28 * 24 * 60;  ///< trailing month

@@ -2,7 +2,7 @@
 // Binary radix (Patricia-style, uncompressed path) trie keyed by IPv4
 // prefixes with longest-prefix-match lookup.
 //
-// This backs the BGP RIB and the blackhole registry: flow labeling asks,
+// This backs the blackhole registry: flow labeling asks,
 // per flow, "what is the most specific blackhole prefix covering this
 // destination IP?". The trie keeps lookups O(32) regardless of table size.
 

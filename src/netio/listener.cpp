@@ -20,7 +20,7 @@ std::string ListenerSnapshot::summary() const {
   char line[256];
   std::snprintf(line, sizeof(line),
                 "listener[%s]: datagrams=%llu bytes=%llu batches=%llu "
-                "ring_full_drops=%llu kernel_drops=%llu pool_fallbacks=%llu "
+                "drops=%llu kernel_drops=%llu pool_fallbacks=%llu "
                 "fin=%d expected=%llu",
                 backend.c_str(),
                 static_cast<unsigned long long>(stage.items_in),
@@ -48,7 +48,6 @@ UdpListener::UdpListener(ListenerConfig config, runtime::Engine& engine,
   if (config_.backend == RecvBackend::kAuto ||
       config_.backend == RecvBackend::kIoUring) {
     receiver_ = make_uring_receiver(socket_, config_.batch_msgs,
-                                    config_.max_datagram_bytes,
                                     engine_.wire_pool());
     if (receiver_ == nullptr && config_.backend == RecvBackend::kIoUring) {
       throw NetioError(
@@ -65,7 +64,6 @@ UdpListener::UdpListener(ListenerConfig config, runtime::Engine& engine,
 #endif
   if (receiver_ == nullptr) {
     receiver_ = make_mmsg_receiver(socket_, config_.batch_msgs,
-                                   config_.max_datagram_bytes,
                                    engine_.wire_pool());
   }
 }
@@ -110,6 +108,10 @@ void UdpListener::run() {
         return;
       }
       listen_.add_in();
+      if (frames[i].truncated) {
+        listen_.add_drop();  // longer than a wire slot: counted, never cut
+        continue;
+      }
       bytes_.fetch_add(wire.size(), std::memory_order_relaxed);
       // Control interleave: BGP updates effective at or before this
       // datagram's export minute must enter the engine first (the same

@@ -15,7 +15,8 @@
 // drops them; the listener never parses untrusted bytes beyond a
 // length-checked 4-byte peek. Wire loss is never silent: kernel
 // socket-buffer drops surface via SO_RXQ_OVFL, ring-full rejections under
-// the kDrop policy are counted on the listener's stage counters, and the
+// the kDrop policy and datagrams longer than a wire slot are counted as
+// drops on the listener's stage counters, and the
 // FIN sentinel carries the sender's total so the end-of-run summary can
 // say exactly how many datagrams the wire ate.
 //
@@ -47,10 +48,6 @@ struct ListenerConfig {
   std::string bind_address = "127.0.0.1";
   std::uint16_t port = 0;            ///< 0 = kernel-assigned (see port())
   std::size_t batch_msgs = 32;       ///< datagrams per receive batch
-  /// Per-datagram buffer; must hold the largest datagram the exporter
-  /// emits or the tail is truncated into a decode error. flows_to_datagrams
-  /// packs up to 64 samples (~104 wire bytes each, ~6.7 KB total).
-  std::size_t max_datagram_bytes = 8192;
   int rcvbuf_bytes = 1 << 22;        ///< socket buffer (absorbs bursts)
   int poll_interval_ms = 50;         ///< stop-flag check cadence when idle
   /// Give up after this long without a single datagram (0 = wait forever).
@@ -65,7 +62,8 @@ struct ListenerConfig {
 /// Point-in-time listener statistics.
 struct ListenerSnapshot {
   runtime::StageSnapshot stage;     ///< "listen": in=received, out=pushed,
-                                    ///< drops=ring-full rejections
+                                    ///< drops=ring-full rejections and
+                                    ///< datagrams longer than a wire slot
   std::uint64_t bytes = 0;          ///< wire bytes received
   std::uint64_t recv_batches = 0;   ///< non-empty receive batches
   std::uint64_t kernel_drops = 0;   ///< socket-buffer drops (SO_RXQ_OVFL)

@@ -1,6 +1,7 @@
 #include "netio/loadgen.hpp"
 
 #include <chrono>
+#include <thread>
 #include <utility>
 
 #include "util/rng.hpp"
@@ -10,25 +11,11 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-std::uint64_t to_ns(Clock::time_point tp) noexcept {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          tp.time_since_epoch())
-          .count());
-}
-
 }  // namespace
 
 LoadGenerator::LoadGenerator(LoadGenConfig config,
-                             std::vector<std::vector<std::uint8_t>> wire,
-                             std::vector<std::uint32_t> minutes)
-    : config_(std::move(config)),
-      wire_(std::move(wire)),
-      minutes_(std::move(minutes)) {}
-
-LoadGenerator::~LoadGenerator() {
-  if (thread_.joinable()) thread_.join();
-}
+                             std::vector<std::vector<std::uint8_t>> wire)
+    : config_(std::move(config)), wire_(std::move(wire)) {}
 
 LoadGenSummary LoadGenerator::run() {
   UdpSocket socket;
@@ -49,9 +36,6 @@ LoadGenSummary LoadGenerator::run() {
     }
   }
 
-  stamps_.clear();
-  if (config_.record_stamps) stamps_.reserve(wire_.size());
-
   LoadGenSummary summary;
   summary.target_rate = config_.rate;
   const Clock::time_point start = Clock::now();
@@ -67,9 +51,6 @@ LoadGenSummary LoadGenerator::run() {
       }
     }
     socket.send(wire_[i]);
-    if (config_.record_stamps) {
-      stamps_.push_back(SendStamp{minutes_[i], to_ns(Clock::now())});
-    }
     ++summary.sent;
     summary.bytes += wire_[i].size();
   }
@@ -91,16 +72,7 @@ LoadGenSummary LoadGenerator::run() {
       break;
     }
   }
-  summary_ = summary;
   return summary;
-}
-
-void LoadGenerator::start() {
-  thread_ = std::thread([this] { (void)run(); });
-}
-
-void LoadGenerator::join() {
-  if (thread_.joinable()) thread_.join();
 }
 
 }  // namespace scrubber::netio

@@ -9,16 +9,12 @@
 // honestly) instead of silently throttling the offered load, which is
 // the classic closed-loop measurement error.
 //
-// Every datagram's send completion is timestamped (steady clock, the
-// same clock bench_latency uses on the receive side), so detection
-// latency = minute-scored time − datagram send time joins on nothing
-// but these stamps. After the data, the FIN sentinel (netio/udp.hpp) is
-// repeated a few times carrying the total datagram count, letting the
-// listener detect tail loss instead of hanging.
+// After the data, the FIN sentinel (netio/udp.hpp) is repeated a few
+// times carrying the total datagram count, letting the listener detect
+// tail loss instead of hanging.
 
 #include <cstdint>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "netio/udp.hpp"
@@ -34,15 +30,6 @@ struct LoadGenConfig {
   std::uint64_t seed = 1;
   /// FIN sentinel repeats (loss insurance; receiver stops at the first).
   unsigned fin_repeats = 3;
-  /// Record per-datagram send timestamps (off saves memory on long runs).
-  bool record_stamps = true;
-};
-
-/// One datagram's send record: its sFlow export minute and the steady
-/// clock nanosecond its send() completed.
-struct SendStamp {
-  std::uint32_t minute = 0;
-  std::uint64_t send_ns = 0;
 };
 
 struct LoadGenSummary {
@@ -57,37 +44,16 @@ struct LoadGenSummary {
 class LoadGenerator {
  public:
   /// Takes the pre-encoded wire datagrams (encode cost stays out of the
-  /// send loop) and each datagram's export minute, index-aligned.
+  /// send loop).
   LoadGenerator(LoadGenConfig config,
-                std::vector<std::vector<std::uint8_t>> wire,
-                std::vector<std::uint32_t> minutes);
-  ~LoadGenerator();
-
-  LoadGenerator(const LoadGenerator&) = delete;
-  LoadGenerator& operator=(const LoadGenerator&) = delete;
+                std::vector<std::vector<std::uint8_t>> wire);
 
   /// Sends everything on the calling thread; returns the summary.
   LoadGenSummary run();
 
-  /// run() on a dedicated thread; pair with join().
-  void start();
-  void join();
-
-  /// Valid after run() or join().
-  [[nodiscard]] const LoadGenSummary& summary() const noexcept {
-    return summary_;
-  }
-  [[nodiscard]] const std::vector<SendStamp>& stamps() const noexcept {
-    return stamps_;
-  }
-
  private:
   LoadGenConfig config_;
   std::vector<std::vector<std::uint8_t>> wire_;
-  std::vector<std::uint32_t> minutes_;
-  std::vector<SendStamp> stamps_;
-  LoadGenSummary summary_;
-  std::thread thread_;
 };
 
 }  // namespace scrubber::netio

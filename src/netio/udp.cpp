@@ -118,19 +118,19 @@ namespace {
 class MmsgReceiver final : public BatchReceiver {
  public:
   MmsgReceiver(UdpSocket& socket, std::size_t batch_msgs,
-               std::size_t max_datagram_bytes, runtime::WireBufferPool* pool)
+               runtime::WireBufferPool* pool)
       : socket_(socket),
         batch_(batch_msgs == 0 ? 1 : batch_msgs),
-        max_bytes_(max_datagram_bytes),
+        slot_bytes_(pool->slot_bytes()),
         pool_(pool),
-        storage_(batch_ * max_bytes_),
+        storage_(batch_ * slot_bytes_),
         controls_(batch_ * kControlBytes),
         iovecs_(batch_),
         headers_(batch_),
         armed_(batch_) {
     for (std::size_t i = 0; i < batch_; ++i) {
-      iovecs_[i].iov_base = storage_.data() + i * max_bytes_;
-      iovecs_[i].iov_len = max_bytes_;
+      iovecs_[i].iov_base = storage_.data() + i * slot_bytes_;
+      iovecs_[i].iov_len = slot_bytes_;
       headers_[i].msg_hdr.msg_iov = &iovecs_[i];
       headers_[i].msg_hdr.msg_iovlen = 1;
       headers_[i].msg_hdr.msg_control = controls_.data() + i * kControlBytes;
@@ -161,32 +161,40 @@ class MmsgReceiver final : public BatchReceiver {
         iovecs_[i].iov_base = armed_[i].data();
         iovecs_[i].iov_len = armed_[i].capacity();
       } else {
-        iovecs_[i].iov_base = storage_.data() + i * max_bytes_;
-        iovecs_[i].iov_len = max_bytes_;
+        iovecs_[i].iov_base = storage_.data() + i * slot_bytes_;
+        iovecs_[i].iov_len = slot_bytes_;
       }
       headers_[i].msg_hdr.msg_controllen = kControlBytes;
       headers_[i].msg_hdr.msg_iov = &iovecs_[i];
       headers_[i].msg_hdr.msg_iovlen = 1;
     }
+    // MSG_TRUNC: msg_len reports each datagram's real length, so one
+    // longer than its buffer shows up instead of being silently cut.
     const int got = ::recvmmsg(socket_.fd(), headers_.data(), want,
-                               MSG_DONTWAIT, nullptr);
+                               MSG_DONTWAIT | MSG_TRUNC, nullptr);
     if (got < 0) {
       if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) return 0;
       throw_errno("recvmmsg");
     }
     for (std::size_t i = 0; i < static_cast<std::size_t>(got); ++i) {
       RecvFrame& frame = frames[i];
-      if (armed_[i]) {
+      note_drop_counter(headers_[i].msg_hdr);
+      frame.truncated = headers_[i].msg_len > slot_bytes_;
+      if (frame.truncated) {
+        // The armed slot stays staged for the next call.
+        frame.data = nullptr;
+        frame.size = 0;
+        frame.slot.release();
+      } else if (armed_[i]) {
         armed_[i].set_size(headers_[i].msg_len);
         frame.data = armed_[i].data();
         frame.size = headers_[i].msg_len;
         frame.slot = std::move(armed_[i]);  // next call re-acquires
       } else {
-        frame.data = storage_.data() + i * max_bytes_;
+        frame.data = storage_.data() + i * slot_bytes_;
         frame.size = headers_[i].msg_len;
         frame.slot.release();
       }
-      note_drop_counter(headers_[i].msg_hdr);
     }
     return static_cast<std::size_t>(got);
   }
@@ -216,7 +224,7 @@ class MmsgReceiver final : public BatchReceiver {
 
   UdpSocket& socket_;
   std::size_t batch_;
-  std::size_t max_bytes_;
+  std::size_t slot_bytes_;
   runtime::WireBufferPool* pool_;
   std::vector<std::uint8_t> storage_;
   std::vector<std::uint8_t> controls_;
@@ -229,10 +237,8 @@ class MmsgReceiver final : public BatchReceiver {
 }  // namespace
 
 std::unique_ptr<BatchReceiver> make_mmsg_receiver(
-    UdpSocket& socket, std::size_t batch_msgs, std::size_t max_datagram_bytes,
-    runtime::WireBufferPool* pool) {
-  return std::make_unique<MmsgReceiver>(socket, batch_msgs, max_datagram_bytes,
-                                        pool);
+    UdpSocket& socket, std::size_t batch_msgs, runtime::WireBufferPool* pool) {
+  return std::make_unique<MmsgReceiver>(socket, batch_msgs, pool);
 }
 
 }  // namespace scrubber::netio

@@ -73,10 +73,13 @@ class UdpSocket {
 /// or let it drop to recycle. When the pool was dry at arm time, `slot` is
 /// empty and `data` views scratch storage owned by the BatchReceiver,
 /// valid only until its next recv_batch() call. Move-only once filled.
+/// A datagram longer than a wire slot arrives as `truncated` with no bytes
+/// and no slot: the caller counts it as a drop and never decodes it.
 struct RecvFrame {
   const std::uint8_t* data = nullptr;
   std::size_t size = 0;
   runtime::WireSlot slot;
+  bool truncated = false;
 
   [[nodiscard]] std::span<const std::uint8_t> bytes() const noexcept {
     return {data, size};
@@ -105,10 +108,11 @@ class BatchReceiver {
 /// `batch_msgs` datagrams in a single syscall. The kernel scatters each
 /// datagram straight into a slot of `pool` (handed out via
 /// RecvFrame::slot); when the pool runs dry the receiver falls back to its
-/// scratch storage for that message.
+/// scratch storage, one slot's size per message. Both backends ask the
+/// kernel for each datagram's real length (MSG_TRUNC), so one longer than
+/// a slot is reported as RecvFrame::truncated instead of cut short.
 [[nodiscard]] std::unique_ptr<BatchReceiver> make_mmsg_receiver(
-    UdpSocket& socket, std::size_t batch_msgs, std::size_t max_datagram_bytes,
-    runtime::WireBufferPool* pool);
+    UdpSocket& socket, std::size_t batch_msgs, runtime::WireBufferPool* pool);
 
 #if SCRUBBER_IO_URING
 /// io_uring-based receiver: `batch_msgs` RECVMSG submissions stay armed in
@@ -117,8 +121,7 @@ class BatchReceiver {
 /// back to make_mmsg_receiver. `pool` as in make_mmsg_receiver; pooled
 /// buffers stay pinned while their submission is armed in the kernel.
 [[nodiscard]] std::unique_ptr<BatchReceiver> make_uring_receiver(
-    UdpSocket& socket, std::size_t batch_msgs, std::size_t max_datagram_bytes,
-    runtime::WireBufferPool* pool);
+    UdpSocket& socket, std::size_t batch_msgs, runtime::WireBufferPool* pool);
 #endif  // SCRUBBER_IO_URING
 
 // --- wire framing helpers -------------------------------------------------

@@ -51,20 +51,20 @@ void store_release(std::uint32_t* word, std::uint32_t value) noexcept {
 class UringReceiver final : public BatchReceiver {
  public:
   UringReceiver(UdpSocket& socket, std::size_t batch_msgs,
-                std::size_t max_datagram_bytes, runtime::WireBufferPool* pool)
+                runtime::WireBufferPool* pool)
       : socket_(socket),
         batch_(batch_msgs == 0 ? 1 : batch_msgs),
-        max_bytes_(max_datagram_bytes),
+        slot_bytes_(pool->slot_bytes()),
         pool_(pool),
-        storage_(batch_ * max_bytes_),
+        storage_(batch_ * slot_bytes_),
         controls_(batch_ * kControlBytes),
         iovecs_(batch_),
         messages_(batch_),
         armed_(batch_),
         needs_arm_(batch_, true) {
     for (std::size_t i = 0; i < batch_; ++i) {
-      iovecs_[i].iov_base = storage_.data() + i * max_bytes_;
-      iovecs_[i].iov_len = max_bytes_;
+      iovecs_[i].iov_base = storage_.data() + i * slot_bytes_;
+      iovecs_[i].iov_len = slot_bytes_;
       messages_[i].msg_iov = &iovecs_[i];
       messages_[i].msg_iovlen = 1;
       messages_[i].msg_control = controls_.data() + i * kControlBytes;
@@ -155,7 +155,13 @@ class UringReceiver final : public BatchReceiver {
       if (cqe.res >= 0 && slot < batch_) {
         RecvFrame& frame = frames[got++];
         const auto bytes = static_cast<std::size_t>(cqe.res);
-        if (armed_[slot]) {
+        frame.truncated = bytes > slot_bytes_;
+        if (frame.truncated) {
+          // The armed slot stays staged for the re-arm.
+          frame.data = nullptr;
+          frame.size = 0;
+          frame.slot.release();
+        } else if (armed_[slot]) {
           // The kernel wrote straight into the pooled buffer this slot
           // pinned while armed; hand it off and re-acquire at re-arm.
           armed_[slot].set_size(bytes);
@@ -163,7 +169,7 @@ class UringReceiver final : public BatchReceiver {
           frame.size = bytes;
           frame.slot = std::move(armed_[slot]);
         } else {
-          frame.data = storage_.data() + slot * max_bytes_;
+          frame.data = storage_.data() + slot * slot_bytes_;
           frame.size = bytes;
           frame.slot.release();
         }
@@ -203,8 +209,8 @@ class UringReceiver final : public BatchReceiver {
       iovecs_[slot].iov_base = armed_[slot].data();
       iovecs_[slot].iov_len = armed_[slot].capacity();
     } else {
-      iovecs_[slot].iov_base = storage_.data() + slot * max_bytes_;
-      iovecs_[slot].iov_len = max_bytes_;
+      iovecs_[slot].iov_base = storage_.data() + slot * slot_bytes_;
+      iovecs_[slot].iov_len = slot_bytes_;
     }
     messages_[slot].msg_iov = &iovecs_[slot];
     messages_[slot].msg_iovlen = 1;
@@ -216,6 +222,9 @@ class UringReceiver final : public BatchReceiver {
     sqe->opcode = IORING_OP_RECVMSG;
     sqe->fd = socket_.fd();
     sqe->addr = reinterpret_cast<std::uint64_t>(&messages_[slot]);
+    // The completion then carries the datagram's real length, so one
+    // longer than its buffer shows up instead of being silently cut.
+    sqe->msg_flags = MSG_TRUNC;
     sqe->user_data = slot;
     sq_array_[index] = index;
     store_release(sq_tail_, tail + 1);
@@ -234,7 +243,7 @@ class UringReceiver final : public BatchReceiver {
 
   UdpSocket& socket_;
   std::size_t batch_;
-  std::size_t max_bytes_;
+  std::size_t slot_bytes_;
   runtime::WireBufferPool* pool_;
   std::vector<std::uint8_t> storage_;
   std::vector<std::uint8_t> controls_;
@@ -262,10 +271,8 @@ class UringReceiver final : public BatchReceiver {
 }  // namespace
 
 std::unique_ptr<BatchReceiver> make_uring_receiver(
-    UdpSocket& socket, std::size_t batch_msgs, std::size_t max_datagram_bytes,
-    runtime::WireBufferPool* pool) {
-  auto receiver = std::make_unique<UringReceiver>(socket, batch_msgs,
-                                                  max_datagram_bytes, pool);
+    UdpSocket& socket, std::size_t batch_msgs, runtime::WireBufferPool* pool) {
+  auto receiver = std::make_unique<UringReceiver>(socket, batch_msgs, pool);
   if (!receiver->init()) return nullptr;
   return receiver;
 }

@@ -12,8 +12,8 @@
 //   queue_capacity  — the stage-queue bound, still expressed in RECORDS so
 //                     existing configs keep their memory meaning;
 //   batch_records   — the target batch size (default 512, the middle of
-//                     the 256–1024 sweet spot measured by
-//                     bench_runtime_throughput).
+//                     the 256–1024 sweet spot measured by a batch x
+//                     shards engine sweep, DESIGN.md §8).
 //
 // effective_batch_records() clamps the target so a ring always holds at
 // least a few in-flight batches: with tiny test queues (capacity 8) the

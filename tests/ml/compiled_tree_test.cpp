@@ -56,7 +56,8 @@ std::int32_t grow(std::vector<Node>& nodes, util::Rng& rng,
 Dataset random_rows(util::Rng& rng, std::uint32_t width, std::size_t n) {
   std::vector<ColumnInfo> cols;
   for (std::uint32_t j = 0; j < width; ++j) {
-    cols.push_back({"f" + std::to_string(j), ColumnKind::kNumeric});
+    cols.push_back({std::string("f").append(std::to_string(j)),
+                    ColumnKind::kNumeric});
   }
   Dataset data(std::move(cols));
   std::vector<double> row(width);

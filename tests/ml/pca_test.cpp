@@ -12,7 +12,8 @@ namespace {
 Dataset numeric_dataset(std::size_t cols) {
   std::vector<ColumnInfo> infos;
   for (std::size_t j = 0; j < cols; ++j)
-    infos.push_back({"c" + std::to_string(j), ColumnKind::kNumeric});
+    infos.push_back({std::string("c").append(std::to_string(j)),
+                     ColumnKind::kNumeric});
   return Dataset(std::move(infos));
 }
 

@@ -10,7 +10,8 @@ namespace {
 Dataset numeric_dataset(std::vector<std::vector<double>> rows) {
   std::vector<ColumnInfo> cols;
   for (std::size_t j = 0; j < rows.at(0).size(); ++j)
-    cols.push_back({"c" + std::to_string(j), ColumnKind::kNumeric});
+    cols.push_back({std::string("c").append(std::to_string(j)),
+                    ColumnKind::kNumeric});
   Dataset data(std::move(cols));
   for (const auto& row : rows) data.add_row(row, 0);
   return data;

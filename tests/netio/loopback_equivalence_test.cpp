@@ -4,8 +4,8 @@
 // same seeded trace —
 // same detections, same flow/minute/sample counts, same BGP interleave.
 // This is the end-to-end proof that src/netio adds a transport, not a
-// semantic: DESIGN.md §11's correctness anchor for every latency number
-// BENCH_latency.json reports.
+// semantic (DESIGN.md §11); bench_e2e's wire_paced workload measures the
+// same path's latency.
 //
 // The trace is sized so the detector trains (short warmup) and actually
 // fires at least one detection — equality of two empty verdict lists
@@ -145,16 +145,13 @@ Verdicts wire_verdicts(const Trace& trace) {
   listener.start();
 
   std::vector<std::vector<std::uint8_t>> wire;
-  std::vector<std::uint32_t> minutes;
   for (const auto& datagram : trace.datagrams) {
     wire.push_back(datagram.encode());
-    minutes.push_back(static_cast<std::uint32_t>(datagram.uptime_ms / 60'000));
   }
   LoadGenConfig loadgen_config;
   loadgen_config.port = listener.port();
   loadgen_config.rate = 0.0;  // as fast as loopback accepts
-  loadgen_config.record_stamps = false;
-  LoadGenerator loadgen(loadgen_config, std::move(wire), std::move(minutes));
+  LoadGenerator loadgen(loadgen_config, std::move(wire));
   const LoadGenSummary summary = loadgen.run();
   listener.join();
 
@@ -162,12 +159,17 @@ Verdicts wire_verdicts(const Trace& trace) {
   // is a test-environment failure worth seeing loudly.
   const ListenerSnapshot listen = listener.stats();
   EXPECT_TRUE(listen.fin_seen);
+  EXPECT_EQ(listen.expected_datagrams, summary.sent);
   EXPECT_EQ(listen.stage.items_in, summary.sent);
   EXPECT_EQ(listen.stage.drops, 0u);
   EXPECT_EQ(listen.kernel_drops, 0u);
 
   const runtime::EngineSnapshot snapshot = engine.stats();
   EXPECT_EQ(snapshot.decode_errors, 0u);
+  // Conservation: every datagram sent is decoded, a counted decode error,
+  // or a counted listener drop.
+  EXPECT_EQ(snapshot.datagrams + snapshot.decode_errors + listen.stage.drops,
+            summary.sent);
   verdicts.flows_out = snapshot.flows_out;
   verdicts.minutes_merged = snapshot.minutes_merged;
   verdicts.samples = snapshot.samples;

@@ -1,8 +1,9 @@
 // UDP listener unit tests: wire framing helpers, the receive loop's
 // lifecycle (FIN sentinel, stop(), idle timeout), malformed-datagram
-// accounting through the engine, the minute feed's ordering contract,
-// and the open-loop load generator's schedule bookkeeping. Everything
-// runs over loopback on kernel-assigned ports so tests never collide.
+// accounting through the engine, oversize-datagram rejection, the minute
+// feed's ordering contract, and the open-loop load generator's send
+// bookkeeping. Everything runs over loopback on kernel-assigned ports so
+// tests never collide.
 
 #include "netio/listener.hpp"
 
@@ -142,6 +143,35 @@ TEST(UdpListener, MalformedDatagramsAreCountedNeverFatal) {
             snapshot.stage.items_in);
 }
 
+TEST(UdpListener, DatagramLongerThanAWireSlotIsCountedNeverCut) {
+  runtime::EngineConfig config;
+  config.shards = 1;
+  runtime::Engine engine(config, nullptr);
+  ListenerConfig listener_config;
+  listener_config.poll_interval_ms = 10;
+  UdpListener listener(listener_config, engine);
+  listener.start();
+
+  UdpSocket sender = sender_for(listener);
+  // A valid datagram padded one byte past the slot: cut to the slot size
+  // it would reach the decoder as a malformed datagram.
+  auto oversize = minute_datagram(0).encode();
+  oversize.resize(config.wire_slot_bytes + 1, 0);
+  sender.send(oversize);
+  sender.send(minute_datagram(1, 1).encode());
+  sender.send(encode_fin_sentinel(2));
+  listener.join();
+
+  const ListenerSnapshot snapshot = listener.stats();
+  const runtime::EngineSnapshot engine_snapshot = engine.stats();
+  EXPECT_EQ(snapshot.stage.items_in, 2u);
+  EXPECT_EQ(snapshot.stage.drops, 1u);
+  EXPECT_EQ(snapshot.stage.items_out, 1u);
+  EXPECT_EQ(engine_snapshot.datagrams, 1u);
+  EXPECT_EQ(engine_snapshot.decode_errors, 0u);
+  EXPECT_EQ(engine_snapshot.samples, 1u);
+}
+
 TEST(UdpListener, MinuteFeedFiresOncePerAdvanceBeforeTheDatagram) {
   runtime::EngineConfig config;
   config.shards = 1;
@@ -235,7 +265,7 @@ TEST(UdpListener, ExplicitUringRequestThrowsWhenNotCompiledIn) {
 }
 #endif  // SCRUBBER_IO_URING
 
-TEST(LoadGenerator, SendsEverythingAndStampsInOrder) {
+TEST(LoadGenerator, SendsEverythingOnAPacedSchedule) {
   runtime::EngineConfig config;
   config.shards = 1;
   runtime::Engine engine(config, nullptr);
@@ -245,15 +275,13 @@ TEST(LoadGenerator, SendsEverythingAndStampsInOrder) {
   listener.start();
 
   std::vector<std::vector<std::uint8_t>> wire;
-  std::vector<std::uint32_t> minutes;
   for (std::uint32_t i = 0; i < 20; ++i) {
     wire.push_back(minute_datagram(i / 4, i).encode());
-    minutes.push_back(i / 4);
   }
   LoadGenConfig loadgen_config;
   loadgen_config.port = listener.port();
   loadgen_config.rate = 5000.0;  // paced: exercises the deadline schedule
-  LoadGenerator loadgen(loadgen_config, wire, minutes);
+  LoadGenerator loadgen(loadgen_config, wire);
   const LoadGenSummary summary = loadgen.run();
   listener.join();
 
@@ -261,11 +289,6 @@ TEST(LoadGenerator, SendsEverythingAndStampsInOrder) {
   EXPECT_GT(summary.bytes, 0u);
   EXPECT_GT(summary.wall_seconds, 0.0);
   EXPECT_DOUBLE_EQ(summary.target_rate, 5000.0);
-  ASSERT_EQ(loadgen.stamps().size(), 20u);
-  for (std::size_t i = 1; i < loadgen.stamps().size(); ++i) {
-    EXPECT_GE(loadgen.stamps()[i].send_ns, loadgen.stamps()[i - 1].send_ns);
-    EXPECT_GE(loadgen.stamps()[i].minute, loadgen.stamps()[i - 1].minute);
-  }
   EXPECT_EQ(listener.stats().stage.items_in, 20u);
   EXPECT_TRUE(listener.stats().fin_seen);
   EXPECT_EQ(listener.stats().expected_datagrams, 20u);

@@ -2,11 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <stdexcept>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
+
+#include "core/collector.hpp"
+#include "flowgen/generator.hpp"
 
 namespace scrubber::runtime {
 namespace {
@@ -113,6 +118,86 @@ TEST(Engine, OutputInvariantUnderBatchSize) {
   ASSERT_EQ(reference.size(), 90u);
   EXPECT_EQ(reference, run_with_batch(5));
   EXPECT_EQ(reference, run_with_batch(512));
+}
+
+TEST(Engine, FlowgenTraceConservesEveryStageAcrossBatchAndShards) {
+  // A seeded IXP-SE trace with its BGP blackhole updates interleaved by
+  // export minute, through the whole stage graph at {batch 1, 256} x
+  // {shards 1, 2}: no stage may lose or invent an item, and every
+  // configuration must merge the same minutes.
+  constexpr std::uint32_t kSampling = 4;
+  flowgen::TrafficGenerator generator(flowgen::ixp_se(), 1337);
+  const auto trace = generator.generate(0, 24);
+  const auto datagrams = core::flows_to_datagrams(
+      trace.flows, kSampling, net::Ipv4Address(0x0AFF0001));
+  std::vector<std::vector<std::uint8_t>> wire;
+  std::uint64_t total_samples = 0;
+  for (const auto& datagram : datagrams) {
+    wire.push_back(datagram.encode());
+    total_samples += datagram.samples.size();
+  }
+  ASSERT_FALSE(trace.updates.empty());
+
+  const auto stage = [](const EngineSnapshot& stats, std::string_view name) {
+    const auto it =
+        std::find_if(stats.stages.begin(), stats.stages.end(),
+                     [&](const StageSnapshot& s) { return s.name == name; });
+    return it == stats.stages.end() ? StageSnapshot{} : *it;
+  };
+
+  MinuteBatches reference;
+  std::uint64_t reference_flows = 0;
+  for (const std::size_t batch_records : {std::size_t{1}, std::size_t{256}}) {
+    for (const std::size_t shards : {std::size_t{1}, std::size_t{2}}) {
+      SCOPED_TRACE(testing::Message() << "batch=" << batch_records
+                                      << " shards=" << shards);
+      EngineConfig config;
+      config.shards = shards;
+      config.queue_capacity = 4096;
+      config.batch_records = batch_records;
+      config.backpressure = Backpressure::kBlock;
+      config.collector.sampling_rate = kSampling;
+      MinuteBatches out;
+      Engine engine(config, [&](std::uint32_t minute,
+                                std::span<const net::FlowRecord> f) {
+        out.emplace_back(minute,
+                         std::vector<net::FlowRecord>(f.begin(), f.end()));
+      });
+      std::size_t next_update = 0;
+      for (std::size_t i = 0; i < wire.size(); ++i) {
+        const auto minute =
+            static_cast<std::uint32_t>(datagrams[i].uptime_ms / 60'000);
+        while (next_update < trace.updates.size() &&
+               trace.updates[next_update].first <= minute) {
+          engine.push_bgp(trace.updates[next_update].second,
+                          std::uint64_t{trace.updates[next_update].first} *
+                              60'000);
+          ++next_update;
+        }
+        EXPECT_TRUE(engine.push_wire(wire[i]));
+      }
+      engine.finish();
+
+      const EngineSnapshot stats = engine.stats();
+      EXPECT_EQ(stats.input_drops, 0u);
+      EXPECT_EQ(stats.late_drops, 0u);
+      EXPECT_EQ(stats.datagrams, datagrams.size());
+      EXPECT_EQ(stats.samples, total_samples);
+      EXPECT_EQ(stats.bgp_updates, next_update);
+      EXPECT_EQ(stage(stats, "decode").items_out,
+                stats.datagrams + stats.bgp_updates);
+      EXPECT_EQ(stage(stats, "score").items_in, stats.minutes_merged);
+      EXPECT_EQ(stats.minutes_merged, out.size());
+      if (reference.empty()) {
+        ASSERT_FALSE(out.empty());
+        reference = std::move(out);
+        reference_flows = stats.flows_out;
+      } else {
+        EXPECT_EQ(stats.flows_out, reference_flows);
+        EXPECT_EQ(out, reference);
+      }
+    }
+  }
 }
 
 TEST(Engine, DropPolicyShedsLoadWithoutDeadlock) {

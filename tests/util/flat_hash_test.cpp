@@ -145,14 +145,14 @@ TEST(FlatHash, IterationFollowsInsertionOrder) {
 TEST(FlatHash, ExtractIfDrainsInInsertionOrder) {
   FlatHash<std::uint64_t, std::string> table;
   for (std::uint64_t key = 0; key < 100; ++key) {
-    table[key] = "v" + std::to_string(key);
+    table[key] = std::string("v").append(std::to_string(key));
   }
   // Drain the evens; values arrive by move, in insertion order.
   std::vector<std::uint64_t> drained;
   table.extract_if(
       [](std::uint64_t key, const std::string&) { return key % 2 == 0; },
       [&](std::uint64_t key, std::string&& value) {
-        EXPECT_EQ(value, "v" + std::to_string(key));
+        EXPECT_EQ(value, std::string("v").append(std::to_string(key)));
         drained.push_back(key);
       });
   ASSERT_EQ(drained.size(), 50u);

@@ -29,14 +29,17 @@
 // so verdicts match the in-process run bit for bit (DESIGN.md §11). The
 // run ends at the load generator's FIN sentinel (or --idle-stop-ms of
 // silence, 0 = wait forever); the report then includes the listener line:
-// datagrams/bytes received, ring-full drops, kernel socket-buffer drops.
+// datagrams/bytes received, drops (ring-full or longer than a wire slot),
+// kernel socket-buffer drops.
 
 #include <algorithm>
+#include <array>
 #include <cstdio>
 #include <cstring>
 #include <map>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <thread>
 
 #include "core/live_detector.hpp"
@@ -50,6 +53,16 @@ namespace {
 
 using namespace scrubber;
 
+/// Every option run() reads; any other --key is an error, so a typo or a
+/// retired flag fails loudly instead of being ignored.
+constexpr std::array<std::string_view, 21> kOptions = {
+    "profile", "minutes", "seed", "sampling", "gen-threads",        // trace
+    "shards", "queue", "policy", "batch",                           // engine
+    "warmup", "retrain", "min-flows", "train-threads", "agg-threads",
+    "simd",                                                         // detector
+    "listen", "bind", "backend", "recv-batch", "idle-stop-ms",      // wire
+    "stats-every"};
+
 /// Minimal --key value argument parser (same shape as scrubberctl's).
 class Args {
  public:
@@ -59,7 +72,11 @@ class Args {
         throw std::runtime_error(std::string("expected --option, got ") +
                                  argv[i]);
       }
-      values_[argv[i] + 2] = argv[i + 1];
+      const std::string_view key = argv[i] + 2;
+      if (std::find(kOptions.begin(), kOptions.end(), key) == kOptions.end()) {
+        throw std::runtime_error(std::string("unknown option ") + argv[i]);
+      }
+      values_[std::string(key)] = argv[i + 1];
     }
     if ((argc - first) % 2 != 0) {
       throw std::runtime_error("dangling option without a value");

@@ -183,8 +183,11 @@ LexedFile lex(const std::string& rel_path, const std::string& text) {
         ++paren;
       }
       if (valid) {
-        const std::string close =
-            ")" + text.substr(dstart, paren - dstart) + "\"";
+        std::string close;
+        close.reserve(paren - dstart + 2);
+        close.append(1, ')')
+            .append(text, dstart, paren - dstart)
+            .append(1, '"');
         std::size_t end = text.find(close, paren + 1);
         if (end == std::string::npos) end = n;
         const std::size_t stop = std::min(n, end + close.size());

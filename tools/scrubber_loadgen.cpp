@@ -102,21 +102,18 @@ int run(int argc, char** argv) {
   config.rate = args.real("rate", 0.0);
   config.seed = args.number("schedule-seed", 1);
   config.fin_repeats = static_cast<unsigned>(args.number("fin", 3));
-  config.record_stamps = false;  // CLI replays; stamps are for bench joins
 
   // Wire-encode the whole trace up front so the send loop measures the
   // network and the pacing, not the generator.
   const net::Ipv4Address agent = net::Ipv4Address::from_octets(10, 99, 0, 1);
   std::vector<std::vector<std::uint8_t>> wire;
-  std::vector<std::uint32_t> wire_minutes;
   flowgen::TrafficGenerator generator(profile, seed);
   generator.generate_stream(
       0, minutes, flowgen::TrafficGenerator::Labeling::kBlackholeRegistry,
-      [&](std::uint32_t minute, std::span<const net::FlowRecord> flows) {
+      [&](std::uint32_t /*minute*/, std::span<const net::FlowRecord> flows) {
         for (const auto& datagram :
              core::flows_to_datagrams(flows, sampling, agent)) {
           wire.push_back(datagram.encode());
-          wire_minutes.push_back(minute);
         }
       },
       gen_threads);
@@ -129,8 +126,7 @@ int run(int argc, char** argv) {
               static_cast<unsigned long long>(seed));
   std::fflush(stdout);
 
-  netio::LoadGenerator loadgen(config, std::move(wire),
-                               std::move(wire_minutes));
+  netio::LoadGenerator loadgen(config, std::move(wire));
   const netio::LoadGenSummary summary = loadgen.run();
   std::printf("sent=%llu bytes=%llu wall=%.3fs achieved=%.0f/s "
               "target=%.0f/s behind=%llu\n",
