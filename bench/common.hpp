@@ -50,7 +50,7 @@ inline std::string git_sha() {
   return out.empty() ? "unknown" : out;
 }
 
-/// Provenance block shared by every BENCH_*.json: which commit and which
+/// Provenance block of every bench's run metadata: which commit and which
 /// build produced these numbers. A checked or sanitized build is
 /// measurable but NOT comparable with the Release trajectory; trajectory
 /// tooling filters on these fields.
@@ -63,7 +63,7 @@ inline void set_provenance(util::Json& out) {
   out.set("sanitize", SCRUBBER_OPT_SANITIZE);
   // Machine provenance: core count bounds every parallelism claim (rows
   // with shards > cores are advisory) and the kernel version pins syscall
-  // behavior the netio benches depend on (recvmmsg, io_uring, SO_RXQ_OVFL).
+  // behavior the wire path depends on (recvmmsg, SO_RXQ_OVFL).
   out.set("hardware_concurrency",
           static_cast<double>(std::max(1u, std::thread::hardware_concurrency())));
   utsname kernel{};
@@ -167,22 +167,6 @@ inline std::size_t curate_rules(arm::RuleSet& rules) {
     }
   }
   return accepted;
-}
-
-/// Minimum wall-clock seconds of `fn()` across `repeats` runs — the
-/// standard noise filter for the perf-trajectory benches. The minimum
-/// (not the mean) is the run least disturbed by the machine, which is
-/// the quantity a speedup bar should be computed from.
-template <typename Fn>
-inline double min_seconds_of(int repeats, Fn&& fn) {
-  double best = 0.0;
-  for (int r = 0; r < repeats || r == 0; ++r) {
-    util::Stopwatch sw;
-    fn();
-    const double seconds = sw.seconds();
-    if (r == 0 || seconds < best) best = seconds;
-  }
-  return best;
 }
 
 /// Optimization barrier for timing loops: keeps a computed value alive

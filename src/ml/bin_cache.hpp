@@ -16,8 +16,8 @@
 // Thread-safe: concurrent get_or_build calls race benignly — both build
 // on a shared miss, first insert wins, and both results are value-equal.
 // The build itself runs outside the lock so independent datasets never
-// serialize. Bounded: FIFO eviction beyond kCapacity entries. Hit/miss
-// counters feed bench provenance (BENCH_training.json).
+// serialize. Bounded: FIFO eviction beyond kCapacity entries. Hit/miss/
+// eviction counters are readable through stats().
 
 #include <cstdint>
 #include <memory>

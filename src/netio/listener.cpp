@@ -19,10 +19,9 @@ std::uint64_t now_ns() noexcept {
 std::string ListenerSnapshot::summary() const {
   char line[256];
   std::snprintf(line, sizeof(line),
-                "listener[%s]: datagrams=%llu bytes=%llu batches=%llu "
+                "listener: datagrams=%llu bytes=%llu batches=%llu "
                 "drops=%llu kernel_drops=%llu pool_fallbacks=%llu "
                 "fin=%d expected=%llu",
-                backend.c_str(),
                 static_cast<unsigned long long>(stage.items_in),
                 static_cast<unsigned long long>(bytes),
                 static_cast<unsigned long long>(recv_batches),
@@ -37,35 +36,14 @@ UdpListener::UdpListener(ListenerConfig config, runtime::Engine& engine,
                          MinuteFeed minute_feed)
     : config_(std::move(config)),
       engine_(engine),
-      minute_feed_(std::move(minute_feed)) {
+      minute_feed_(std::move(minute_feed)),
+      receiver_(socket_, config_.batch_msgs, engine_.wire_pool()) {
   // The receiver keeps up to batch_msgs slots armed; a dry-pool fallback
   // waits for a slot only the engine can return, so it must hold more.
   if (engine_.wire_pool()->slots() <= config_.batch_msgs) {
     throw NetioError("engine wire pool needs more slots than batch_msgs");
   }
   socket_.bind(config_.bind_address, config_.port, config_.rcvbuf_bytes);
-#if SCRUBBER_IO_URING
-  if (config_.backend == RecvBackend::kAuto ||
-      config_.backend == RecvBackend::kIoUring) {
-    receiver_ = make_uring_receiver(socket_, config_.batch_msgs,
-                                    engine_.wire_pool());
-    if (receiver_ == nullptr && config_.backend == RecvBackend::kIoUring) {
-      throw NetioError(
-          "io_uring receive backend unavailable (kernel too old or "
-          "sandboxed); use the recvmmsg backend");
-    }
-  }
-#else
-  if (config_.backend == RecvBackend::kIoUring) {
-    throw NetioError(
-        "io_uring backend requested but this build has SCRUBBER_IO_URING "
-        "off; reconfigure with -DSCRUBBER_IO_URING=ON");
-  }
-#endif
-  if (receiver_ == nullptr) {
-    receiver_ = make_mmsg_receiver(socket_, config_.batch_msgs,
-                                   engine_.wire_pool());
-  }
 }
 
 UdpListener::~UdpListener() {
@@ -80,7 +58,7 @@ void UdpListener::run() {
   int idle_ms = 0;
   for (;;) {
     if (stop_.load(std::memory_order_relaxed)) return;
-    const std::size_t got = receiver_->recv_batch(
+    const std::size_t got = receiver_.recv_batch(
         std::span<RecvFrame>(frames.data(), frames.size()),
         config_.poll_interval_ms);
     if (got == 0) {
@@ -159,12 +137,11 @@ ListenerSnapshot UdpListener::stats() const {
   snap.stage = listen_.snapshot("listen");
   snap.bytes = bytes_.load(std::memory_order_relaxed);
   snap.recv_batches = recv_batches_.load(std::memory_order_relaxed);
-  snap.kernel_drops = receiver_->kernel_drops();
+  snap.kernel_drops = receiver_.kernel_drops();
   snap.pool_fallbacks = pool_fallbacks_.load(std::memory_order_relaxed);
   snap.fin_seen = fin_seen_.load(std::memory_order_relaxed);
   snap.expected_datagrams =
       expected_datagrams_.load(std::memory_order_relaxed);
-  snap.backend = receiver_->backend_name();
   return snap;
 }
 

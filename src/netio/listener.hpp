@@ -2,7 +2,7 @@
 // UDP sFlow listener: the wire front-end of the streaming engine
 // (DESIGN.md §11).
 //
-//   NIC/loopback ─► UdpSocket ─► BatchReceiver (recvmmsg | io_uring)
+//   NIC/loopback ─► UdpSocket ─► MmsgReceiver (poll + recvmmsg)
 //                      │ batch of wire datagrams
 //                      ▼
 //             UdpListener::run()  ──►  Engine::push_wire  ─► decode → …
@@ -30,7 +30,6 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
 #include <thread>
 
@@ -40,9 +39,10 @@
 
 namespace scrubber::netio {
 
-/// Receive-backend selection; kAuto prefers io_uring when compiled in and
-/// the kernel cooperates, falling back to recvmmsg.
-enum class RecvBackend { kAuto, kRecvmmsg, kIoUring };
+/// The receive path is recvmmsg only. RecvBackend and
+/// ListenerConfig::backend select nothing; they remain because the
+/// end-to-end benchmark (bench_e2e/main.cpp) still assigns them.
+enum class RecvBackend { kRecvmmsg };
 
 struct ListenerConfig {
   std::string bind_address = "127.0.0.1";
@@ -53,7 +53,7 @@ struct ListenerConfig {
   /// Give up after this long without a single datagram (0 = wait forever).
   /// A lost FIN sentinel then ends the run instead of hanging it.
   int idle_stop_ms = 0;
-  RecvBackend backend = RecvBackend::kAuto;
+  RecvBackend backend = RecvBackend::kRecvmmsg;
   /// After the FIN sentinel, drain and finish() the engine on the listener
   /// thread (the producer thread, per the engine contract).
   bool finish_engine_on_fin = true;
@@ -72,7 +72,6 @@ struct ListenerSnapshot {
   std::uint64_t pool_fallbacks = 0;
   bool fin_seen = false;
   std::uint64_t expected_datagrams = 0;  ///< sender total from the sentinel
-  std::string backend;              ///< "recvmmsg" or "io_uring"
 
   /// One-line summary for the ixpd end-of-run report.
   [[nodiscard]] std::string summary() const;
@@ -115,7 +114,7 @@ class UdpListener {
   runtime::Engine& engine_;
   MinuteFeed minute_feed_;
   UdpSocket socket_;
-  std::unique_ptr<BatchReceiver> receiver_;
+  MmsgReceiver receiver_;
   std::thread thread_;
 
   std::atomic<bool> stop_{false};

@@ -6,6 +6,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
@@ -110,135 +111,97 @@ std::vector<std::uint8_t> encode_fin_sentinel(std::uint64_t total_datagrams) {
   return out;
 }
 
-namespace {
+MmsgReceiver::MmsgReceiver(UdpSocket& socket, std::size_t batch_msgs,
+                           runtime::WireBufferPool* pool)
+    : socket_(socket),
+      batch_(batch_msgs == 0 ? 1 : batch_msgs),
+      slot_bytes_(pool->slot_bytes()),
+      pool_(pool),
+      storage_(batch_ * slot_bytes_),
+      controls_(batch_ * kControlBytes),
+      iovecs_(batch_),
+      headers_(batch_),
+      armed_(batch_) {
+  for (std::size_t i = 0; i < batch_; ++i) {
+    iovecs_[i].iov_base = storage_.data() + i * slot_bytes_;
+    iovecs_[i].iov_len = slot_bytes_;
+    headers_[i].msg_hdr.msg_iov = &iovecs_[i];
+    headers_[i].msg_hdr.msg_iovlen = 1;
+    headers_[i].msg_hdr.msg_control = controls_.data() + i * kControlBytes;
+    headers_[i].msg_hdr.msg_controllen = kControlBytes;
+  }
+}
 
-/// recvmmsg() backend: one poll() for readiness, one recvmmsg() to drain
-/// up to batch_msgs datagrams, SO_RXQ_OVFL control messages harvested for
-/// the kernel-drop counter.
-class MmsgReceiver final : public BatchReceiver {
- public:
-  MmsgReceiver(UdpSocket& socket, std::size_t batch_msgs,
-               runtime::WireBufferPool* pool)
-      : socket_(socket),
-        batch_(batch_msgs == 0 ? 1 : batch_msgs),
-        slot_bytes_(pool->slot_bytes()),
-        pool_(pool),
-        storage_(batch_ * slot_bytes_),
-        controls_(batch_ * kControlBytes),
-        iovecs_(batch_),
-        headers_(batch_),
-        armed_(batch_) {
-    for (std::size_t i = 0; i < batch_; ++i) {
+std::size_t MmsgReceiver::recv_batch(std::span<RecvFrame> frames,
+                                     int timeout_ms) {
+  pollfd pfd{};
+  pfd.fd = socket_.fd();
+  pfd.events = POLLIN;
+  const int ready = ::poll(&pfd, 1, timeout_ms);
+  if (ready <= 0) {
+    if (ready < 0 && errno != EINTR) throw_errno("poll");
+    return 0;
+  }
+  const auto want = static_cast<unsigned>(std::min(frames.size(), batch_));
+  // Reset control lengths (recvmmsg shrinks them per message) and point
+  // each message at a pooled slot when one is available — the kernel
+  // then scatters the datagram straight into the buffer that will ride
+  // the input ring, copy-free. A dry pool falls back to scratch storage
+  // for that message (the caller copies, counted as a pool fallback).
+  for (std::size_t i = 0; i < want; ++i) {
+    if (!armed_[i]) armed_[i] = pool_->try_acquire();
+    if (armed_[i]) {
+      iovecs_[i].iov_base = armed_[i].data();
+      iovecs_[i].iov_len = armed_[i].capacity();
+    } else {
       iovecs_[i].iov_base = storage_.data() + i * slot_bytes_;
       iovecs_[i].iov_len = slot_bytes_;
-      headers_[i].msg_hdr.msg_iov = &iovecs_[i];
-      headers_[i].msg_hdr.msg_iovlen = 1;
-      headers_[i].msg_hdr.msg_control = controls_.data() + i * kControlBytes;
-      headers_[i].msg_hdr.msg_controllen = kControlBytes;
+    }
+    headers_[i].msg_hdr.msg_controllen = kControlBytes;
+    headers_[i].msg_hdr.msg_iov = &iovecs_[i];
+    headers_[i].msg_hdr.msg_iovlen = 1;
+  }
+  // MSG_TRUNC: msg_len reports each datagram's real length, so one
+  // longer than its buffer shows up instead of being silently cut.
+  const int got = ::recvmmsg(socket_.fd(), headers_.data(), want,
+                             MSG_DONTWAIT | MSG_TRUNC, nullptr);
+  if (got < 0) {
+    if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) return 0;
+    throw_errno("recvmmsg");
+  }
+  for (std::size_t i = 0; i < static_cast<std::size_t>(got); ++i) {
+    RecvFrame& frame = frames[i];
+    note_drop_counter(headers_[i].msg_hdr);
+    frame.truncated = headers_[i].msg_len > slot_bytes_;
+    if (frame.truncated) {
+      // The armed slot stays staged for the next call.
+      frame.data = nullptr;
+      frame.size = 0;
+      frame.slot.release();
+    } else if (armed_[i]) {
+      armed_[i].set_size(headers_[i].msg_len);
+      frame.data = armed_[i].data();
+      frame.size = headers_[i].msg_len;
+      frame.slot = std::move(armed_[i]);  // next call re-acquires
+    } else {
+      frame.data = storage_.data() + i * slot_bytes_;
+      frame.size = headers_[i].msg_len;
+      frame.slot.release();
     }
   }
+  return static_cast<std::size_t>(got);
+}
 
-  std::size_t recv_batch(std::span<RecvFrame> frames,
-                         int timeout_ms) override {
-    pollfd pfd{};
-    pfd.fd = socket_.fd();
-    pfd.events = POLLIN;
-    const int ready = ::poll(&pfd, 1, timeout_ms);
-    if (ready <= 0) {
-      if (ready < 0 && errno != EINTR) throw_errno("poll");
-      return 0;
-    }
-    const auto want =
-        static_cast<unsigned>(std::min(frames.size(), batch_));
-    // Reset control lengths (recvmmsg shrinks them per message) and point
-    // each message at a pooled slot when one is available — the kernel
-    // then scatters the datagram straight into the buffer that will ride
-    // the input ring, copy-free. A dry pool falls back to scratch storage
-    // for that message (the caller copies, counted as a pool fallback).
-    for (std::size_t i = 0; i < want; ++i) {
-      if (!armed_[i]) armed_[i] = pool_->try_acquire();
-      if (armed_[i]) {
-        iovecs_[i].iov_base = armed_[i].data();
-        iovecs_[i].iov_len = armed_[i].capacity();
-      } else {
-        iovecs_[i].iov_base = storage_.data() + i * slot_bytes_;
-        iovecs_[i].iov_len = slot_bytes_;
-      }
-      headers_[i].msg_hdr.msg_controllen = kControlBytes;
-      headers_[i].msg_hdr.msg_iov = &iovecs_[i];
-      headers_[i].msg_hdr.msg_iovlen = 1;
-    }
-    // MSG_TRUNC: msg_len reports each datagram's real length, so one
-    // longer than its buffer shows up instead of being silently cut.
-    const int got = ::recvmmsg(socket_.fd(), headers_.data(), want,
-                               MSG_DONTWAIT | MSG_TRUNC, nullptr);
-    if (got < 0) {
-      if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) return 0;
-      throw_errno("recvmmsg");
-    }
-    for (std::size_t i = 0; i < static_cast<std::size_t>(got); ++i) {
-      RecvFrame& frame = frames[i];
-      note_drop_counter(headers_[i].msg_hdr);
-      frame.truncated = headers_[i].msg_len > slot_bytes_;
-      if (frame.truncated) {
-        // The armed slot stays staged for the next call.
-        frame.data = nullptr;
-        frame.size = 0;
-        frame.slot.release();
-      } else if (armed_[i]) {
-        armed_[i].set_size(headers_[i].msg_len);
-        frame.data = armed_[i].data();
-        frame.size = headers_[i].msg_len;
-        frame.slot = std::move(armed_[i]);  // next call re-acquires
-      } else {
-        frame.data = storage_.data() + i * slot_bytes_;
-        frame.size = headers_[i].msg_len;
-        frame.slot.release();
-      }
-    }
-    return static_cast<std::size_t>(got);
-  }
-
-  [[nodiscard]] std::uint64_t kernel_drops() const noexcept override {
-    return kernel_drops_;
-  }
-
-  [[nodiscard]] const char* backend_name() const noexcept override {
-    return "recvmmsg";
-  }
-
- private:
-  static constexpr std::size_t kControlBytes = 64;
-
-  void note_drop_counter(msghdr& hdr) noexcept {
-    // SO_RXQ_OVFL delivers the cumulative drop count as ancillary data.
-    for (cmsghdr* cmsg = CMSG_FIRSTHDR(&hdr); cmsg != nullptr;
-         cmsg = CMSG_NXTHDR(&hdr, cmsg)) {
-      if (cmsg->cmsg_level == SOL_SOCKET && cmsg->cmsg_type == SO_RXQ_OVFL) {
-        std::uint32_t dropped = 0;
-        std::memcpy(&dropped, CMSG_DATA(cmsg), sizeof(dropped));
-        kernel_drops_ = dropped;
-      }
+void MmsgReceiver::note_drop_counter(msghdr& hdr) noexcept {
+  // SO_RXQ_OVFL delivers the cumulative drop count as ancillary data.
+  for (cmsghdr* cmsg = CMSG_FIRSTHDR(&hdr); cmsg != nullptr;
+       cmsg = CMSG_NXTHDR(&hdr, cmsg)) {
+    if (cmsg->cmsg_level == SOL_SOCKET && cmsg->cmsg_type == SO_RXQ_OVFL) {
+      std::uint32_t dropped = 0;
+      std::memcpy(&dropped, CMSG_DATA(cmsg), sizeof(dropped));
+      kernel_drops_ = dropped;
     }
   }
-
-  UdpSocket& socket_;
-  std::size_t batch_;
-  std::size_t slot_bytes_;
-  runtime::WireBufferPool* pool_;
-  std::vector<std::uint8_t> storage_;
-  std::vector<std::uint8_t> controls_;
-  std::vector<iovec> iovecs_;
-  std::vector<mmsghdr> headers_;
-  std::vector<runtime::WireSlot> armed_;  ///< slot staged per message index
-  std::uint64_t kernel_drops_ = 0;
-};
-
-}  // namespace
-
-std::unique_ptr<BatchReceiver> make_mmsg_receiver(
-    UdpSocket& socket, std::size_t batch_msgs, runtime::WireBufferPool* pool) {
-  return std::make_unique<MmsgReceiver>(socket, batch_msgs, pool);
 }
 
 }  // namespace scrubber::netio

@@ -4,11 +4,9 @@
 // UdpSocket is a thin RAII wrapper over an IPv4/UDP socket: bind with a
 // sized receive buffer (plus SO_RXQ_OVFL so kernel-side drops become a
 // counter instead of silence), connect+send for the load-generator side.
-// BatchReceiver abstracts the batched receive syscall strategy — the
-// default backend amortizes syscall cost over a recvmmsg() vector the
-// same way runtime/batch.hpp amortizes ring cost over record batches; an
-// optional io_uring backend (SCRUBBER_IO_URING, see uring.cpp) moves the
-// batching into a kernel submission queue.
+// MmsgReceiver is the receive path: one poll() for readiness, then one
+// recvmmsg() drains a whole batch, amortizing syscall cost over datagrams
+// the same way runtime/batch.hpp amortizes ring cost over record batches.
 //
 // Also here: the framing helpers shared by listener and load generator —
 // the end-of-stream FIN sentinel (UDP has no FIN of its own; the load
@@ -18,9 +16,10 @@
 // the wire bytes without a full decode (the BGP/control interleave hook
 // needs the minute before the datagram enters the engine).
 
+#include <sys/socket.h>
+
 #include <array>
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <span>
 #include <stdexcept>
@@ -71,7 +70,7 @@ class UdpSocket {
 /// One received datagram. `slot` owns the pooled buffer `data` points
 /// into — move the slot onward (Engine::push_wire) for the zero-copy path,
 /// or let it drop to recycle. When the pool was dry at arm time, `slot` is
-/// empty and `data` views scratch storage owned by the BatchReceiver,
+/// empty and `data` views scratch storage owned by the MmsgReceiver,
 /// valid only until its next recv_batch() call. Move-only once filled.
 /// A datagram longer than a wire slot arrives as `truncated` with no bytes
 /// and no slot: the caller counts it as a drop and never decodes it.
@@ -86,43 +85,49 @@ struct RecvFrame {
   }
 };
 
-/// Batched datagram receive, backend-agnostic.
-class BatchReceiver {
+/// recvmmsg()-based batch receiver: poll() for readiness, then drain up to
+/// `batch_msgs` datagrams in a single syscall, harvesting the SO_RXQ_OVFL
+/// control messages for the kernel-drop counter. The kernel scatters each
+/// datagram straight into a slot of `pool` (handed out via
+/// RecvFrame::slot); when the pool runs dry the receiver falls back to its
+/// scratch storage, one slot's size per message. It asks the kernel for
+/// each datagram's real length (MSG_TRUNC), so one longer than a slot is
+/// reported as RecvFrame::truncated instead of cut short.
+class MmsgReceiver {
  public:
-  virtual ~BatchReceiver() = default;
+  MmsgReceiver(UdpSocket& socket, std::size_t batch_msgs,
+               runtime::WireBufferPool* pool);
+  // The message headers point into this object's own buffers.
+  MmsgReceiver(const MmsgReceiver&) = delete;
+  MmsgReceiver& operator=(const MmsgReceiver&) = delete;
 
   /// Waits up to `timeout_ms` for traffic, then harvests up to
   /// `frames.size()` datagrams in one batch. Returns the number received
   /// (0 on timeout). Frames stay valid until the next call.
-  virtual std::size_t recv_batch(std::span<RecvFrame> frames,
-                                 int timeout_ms) = 0;
+  std::size_t recv_batch(std::span<RecvFrame> frames, int timeout_ms);
 
   /// Datagrams the kernel dropped on the socket buffer (SO_RXQ_OVFL),
   /// cumulative — the wire loss that would otherwise be silent.
-  [[nodiscard]] virtual std::uint64_t kernel_drops() const noexcept = 0;
+  [[nodiscard]] std::uint64_t kernel_drops() const noexcept {
+    return kernel_drops_;
+  }
 
-  [[nodiscard]] virtual const char* backend_name() const noexcept = 0;
+ private:
+  static constexpr std::size_t kControlBytes = 64;
+
+  void note_drop_counter(msghdr& hdr) noexcept;
+
+  UdpSocket& socket_;
+  std::size_t batch_;
+  std::size_t slot_bytes_;
+  runtime::WireBufferPool* pool_;
+  std::vector<std::uint8_t> storage_;
+  std::vector<std::uint8_t> controls_;
+  std::vector<iovec> iovecs_;
+  std::vector<mmsghdr> headers_;
+  std::vector<runtime::WireSlot> armed_;  ///< slot staged per message index
+  std::uint64_t kernel_drops_ = 0;
 };
-
-/// recvmmsg()-based receiver: poll() for readiness, then drain up to
-/// `batch_msgs` datagrams in a single syscall. The kernel scatters each
-/// datagram straight into a slot of `pool` (handed out via
-/// RecvFrame::slot); when the pool runs dry the receiver falls back to its
-/// scratch storage, one slot's size per message. Both backends ask the
-/// kernel for each datagram's real length (MSG_TRUNC), so one longer than
-/// a slot is reported as RecvFrame::truncated instead of cut short.
-[[nodiscard]] std::unique_ptr<BatchReceiver> make_mmsg_receiver(
-    UdpSocket& socket, std::size_t batch_msgs, runtime::WireBufferPool* pool);
-
-#if SCRUBBER_IO_URING
-/// io_uring-based receiver: `batch_msgs` RECVMSG submissions stay armed in
-/// the kernel; completions are harvested from the completion ring. Returns
-/// nullptr when the kernel refuses (old kernel, seccomp) — callers fall
-/// back to make_mmsg_receiver. `pool` as in make_mmsg_receiver; pooled
-/// buffers stay pinned while their submission is armed in the kernel.
-[[nodiscard]] std::unique_ptr<BatchReceiver> make_uring_receiver(
-    UdpSocket& socket, std::size_t batch_msgs, runtime::WireBufferPool* pool);
-#endif  // SCRUBBER_IO_URING
 
 // --- wire framing helpers -------------------------------------------------
 

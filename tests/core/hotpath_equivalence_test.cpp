@@ -111,12 +111,20 @@ TEST(HotPathEquivalence, FlowCacheDrainMatchesLegacyOrderCounter) {
   const std::array<std::uint32_t, 4> barriers{2, 4, 5, 7};
   const std::size_t chunk = packets.size() / (barriers.size() + 1);
   std::size_t fed = 0;
+  // Conservation: every sampled packet lands in exactly one drained
+  // record, scaled by the 1-in-10 sampling rate.
+  std::uint64_t drained_packets = 0;
+  const auto count = [&](const std::vector<net::FlowRecord>& flows) {
+    for (const auto& flow : flows) drained_packets += flow.packets;
+  };
   for (const std::uint32_t barrier : barriers) {
     for (const std::size_t until = fed + chunk; fed < until; ++fed) {
       flat.add(packets[fed]);
       legacy.add(packets[fed]);
     }
-    EXPECT_EQ(flat.drain_before(barrier), legacy.drain_before(barrier))
+    const auto drained = flat.drain_before(barrier);
+    count(drained);
+    EXPECT_EQ(drained, legacy.drain_before(barrier))
         << "barrier minute " << barrier;
   }
   for (; fed < packets.size(); ++fed) {
@@ -128,6 +136,8 @@ TEST(HotPathEquivalence, FlowCacheDrainMatchesLegacyOrderCounter) {
       std::numeric_limits<std::uint32_t>::max());
   EXPECT_FALSE(flat_rest.empty());
   EXPECT_EQ(flat_rest, legacy_rest);
+  count(flat_rest);
+  EXPECT_EQ(drained_packets, packets.size() * 10);
 }
 
 TEST(HotPathEquivalence, AggregateMatchesLegacyAtEveryThreadCount) {

@@ -136,6 +136,27 @@ TEST(SimdInference, ForestMarginsBitIdenticalOnRandomForests) {
           << "trial " << trial << " row " << i;
     }
   }
+
+  // One production-sized batch: 16 trees of depth 6 over 24 features and
+  // 4,093 rows, so the 8-row unrolled kernel runs long with a ragged tail.
+  constexpr std::uint32_t kWidth = 24;
+  constexpr std::size_t kRows = 4'093;
+  std::vector<std::vector<Node>> trees(16);
+  for (auto& tree : trees) grow(tree, rng, kWidth, 6);
+  const CompiledForest forest = CompiledForest::compile(trees, 0.25);
+  const std::vector<double> rows = random_cells(rng, kRows * kWidth);
+  const auto scalar =
+      forest_margins(forest, rows, kWidth, kRows, util::SimdLevel::kScalar);
+  expect_bits_equal(
+      scalar,
+      forest_margins(forest, rows, kWidth, kRows, util::SimdLevel::kAvx2),
+      "large batch margins");
+  for (std::size_t i = 0; i < kRows; ++i) {
+    const double want =
+        forest.margin(std::span(rows.data() + i * kWidth, kWidth));
+    EXPECT_EQ(std::memcmp(&scalar[i], &want, sizeof(double)), 0)
+        << "large batch row " << i;
+  }
 }
 
 TEST(SimdInference, TreePredictionsBitIdenticalOnRandomTrees) {

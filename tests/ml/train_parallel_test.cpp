@@ -7,9 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <string>
 #include <vector>
 
+#include "ml/bin_cache.hpp"
 #include "ml/dataset.hpp"
 #include "ml/decision_tree.hpp"
 #include "ml/gbt.hpp"
@@ -85,19 +87,11 @@ TEST(TrainParallel, DecisionTreeSerializesByteIdenticalForAnyThreadCount) {
   util::set_training_threads(0);
 }
 
-TEST(TrainParallel, GridSearchWinnerAndScoresIdenticalForAnyThreadCount) {
-  const Dataset data = blobs(600, 13);
-  const auto grid = param_grid(
-      {{"max_depth", {2.0, 4.0}}, {"min_samples_leaf", {1.0, 20.0}}});
-  const auto factory = [](const ParamPoint& point) {
-    DecisionTreeParams params;
-    params.max_depth = static_cast<std::size_t>(point.at("max_depth"));
-    params.min_samples_leaf =
-        static_cast<std::size_t>(point.at("min_samples_leaf"));
-    Pipeline p;
-    p.set_classifier(std::make_unique<DecisionTree>(params));
-    return p;
-  };
+/// Runs `grid` with `factory` at one thread and at every other thread
+/// count; winner and every score must be exactly identical.
+void expect_grid_identical(
+    const Dataset& data, const std::vector<ParamPoint>& grid,
+    const std::function<Pipeline(const ParamPoint&)>& factory) {
   // Fresh RNG per run: every thread count must consume the identical
   // fold-assignment stream.
   const auto search = [&] {
@@ -123,6 +117,39 @@ TEST(TrainParallel, GridSearchWinnerAndScoresIdenticalForAnyThreadCount) {
     }
   }
   util::set_training_threads(0);
+}
+
+TEST(TrainParallel, GridSearchWinnerAndScoresIdenticalForAnyThreadCount) {
+  const Dataset data = blobs(600, 13);
+  expect_grid_identical(
+      data,
+      param_grid({{"max_depth", {2.0, 4.0}}, {"min_samples_leaf", {1.0, 20.0}}}),
+      [](const ParamPoint& point) {
+        DecisionTreeParams params;
+        params.max_depth = static_cast<std::size_t>(point.at("max_depth"));
+        params.min_samples_leaf =
+            static_cast<std::size_t>(point.at("min_samples_leaf"));
+        Pipeline p;
+        p.set_classifier(std::make_unique<DecisionTree>(params));
+        return p;
+      });
+
+  // GBT grid points refit the same folds, so later points bin through
+  // the BinCache: the cached path must be just as thread-count-invariant.
+  BinCache::instance().clear();
+  expect_grid_identical(
+      data,
+      param_grid({{"n_estimators", {4.0, 8.0}}, {"max_depth", {3.0, 4.0}}}),
+      [](const ParamPoint& point) {
+        GbtParams params;
+        params.n_estimators = static_cast<std::size_t>(point.at("n_estimators"));
+        params.max_depth = static_cast<std::size_t>(point.at("max_depth"));
+        Pipeline p;
+        p.set_classifier(std::make_unique<GradientBoostedTrees>(params));
+        return p;
+      });
+  EXPECT_GT(BinCache::instance().stats().hits, 0u);
+  BinCache::instance().clear();
 }
 
 }  // namespace

@@ -32,14 +32,15 @@ namespace {
 
 constexpr std::uint64_t kSeed = 0x1EA51DE;
 
-/// A structurally valid datagram with randomized field values.
-SflowDatagram random_datagram(util::Rng& rng) {
+/// A structurally valid datagram of 1..max_samples samples with
+/// randomized field values.
+SflowDatagram random_datagram(util::Rng& rng, std::size_t max_samples = 8) {
   SflowDatagram datagram;
   datagram.agent = Ipv4Address(static_cast<std::uint32_t>(rng()));
   datagram.sub_agent_id = static_cast<std::uint32_t>(rng.below(16));
   datagram.sequence = static_cast<std::uint32_t>(rng.below(1u << 20));
   datagram.uptime_ms = static_cast<std::uint32_t>(rng.below(6'000'000));
-  const std::size_t samples = 1 + rng.below(8);
+  const std::size_t samples = 1 + rng.below(max_samples);
   for (std::size_t i = 0; i < samples; ++i) {
     SflowFlowSample sample;
     sample.sequence = static_cast<std::uint32_t>(rng.below(1u << 20));
@@ -105,6 +106,10 @@ TEST(SflowInplaceParity, WellFormedDatagramsMatchFieldForField) {
   util::Rng rng(kSeed);
   for (int i = 0; i < 300; ++i) {
     expect_parity(random_datagram(rng).encode());
+  }
+  // Larger datagrams, up to 64 samples (~6 KiB of wire).
+  for (int i = 0; i < 30; ++i) {
+    expect_parity(random_datagram(rng, 64).encode());
   }
 }
 

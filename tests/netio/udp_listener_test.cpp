@@ -101,7 +101,6 @@ TEST(UdpListener, ReceivesDatagramsAndFinishesOnFin) {
   EXPECT_TRUE(snapshot.fin_seen);
   EXPECT_EQ(snapshot.expected_datagrams, 5u);
   EXPECT_GT(snapshot.bytes, 0u);
-  EXPECT_FALSE(snapshot.backend.empty());
   EXPECT_FALSE(snapshot.summary().empty());
 
   // finish_engine_on_fin drained the engine on the listener thread.
@@ -238,32 +237,6 @@ TEST(UdpListener, RejectsAWirePoolNoLargerThanTheReceiveBatch) {
   EXPECT_THROW(UdpListener(listener_config, engine, nullptr), NetioError);
   engine.finish();
 }
-
-#if SCRUBBER_IO_URING
-TEST(UdpListener, UringBuildSelectsAWorkingBackend) {
-  // kAuto must come up with *some* backend; when the kernel permits
-  // io_uring it is preferred, otherwise recvmmsg fills in.
-  runtime::EngineConfig config;
-  config.shards = 1;
-  runtime::Engine engine(config, nullptr);
-  UdpListener listener(ListenerConfig{}, engine);
-  const ListenerSnapshot snapshot = listener.stats();
-  EXPECT_TRUE(snapshot.backend == "io_uring" ||
-              snapshot.backend == "recvmmsg")
-      << snapshot.backend;
-  engine.finish();
-}
-#else
-TEST(UdpListener, ExplicitUringRequestThrowsWhenNotCompiledIn) {
-  runtime::EngineConfig config;
-  config.shards = 1;
-  runtime::Engine engine(config, nullptr);
-  ListenerConfig listener_config;
-  listener_config.backend = RecvBackend::kIoUring;
-  EXPECT_THROW(UdpListener(listener_config, engine, nullptr), NetioError);
-  engine.finish();
-}
-#endif  // SCRUBBER_IO_URING
 
 TEST(LoadGenerator, SendsEverythingOnAPacedSchedule) {
   runtime::EngineConfig config;

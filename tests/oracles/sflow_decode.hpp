@@ -1,10 +1,9 @@
 #pragma once
 // Reference sFlow v5 decoder: the specification the production in-place
 // walk (net::SflowView::decode) is held bit-identical to by the parity
-// fuzz suite (tests/net/sflow_inplace_parity_test.cpp) and bench_ingest.
-// It materializes an SflowDatagram and throws SflowDecodeError on
-// malformed input — exactly the two costs the serving path avoids — so
-// only tests and benches use it. Keep the decode text unchanged: it is
+// fuzz suite (tests/net/sflow_inplace_parity_test.cpp). It materializes
+// an SflowDatagram and throws SflowDecodeError on malformed input —
+// exactly the two costs the serving path avoids — so only tests use it. Keep the decode text unchanged: it is
 // the oracle, not a candidate for optimization.
 
 #include <cstddef>

@@ -11,7 +11,10 @@
 // warmed until every recycle ring is primed, and then a measured window of
 // pushes — slots filled by the caller and by the engine's copying
 // push_wire(span) entry alike — must leave the allocation counter exactly
-// where it was.
+// where it was. A fifth of the corpus is malformed (truncations, an
+// over-declared sample count, random garbage), so the window also walks
+// the decode-error path and the route rollback: hostile input must cost
+// no allocation and no unwind either.
 //
 // The counting overrides are compiled only in SCRUBBER_CHECKED builds and
 // never under sanitizers (ASan/TSan/MSan interpose their own allocator and
@@ -32,6 +35,7 @@
 #include <vector>
 
 #include "net/sflow.hpp"
+#include "util/rng.hpp"
 
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
 #define SCRUBBER_ZEROALLOC_ACTIVE 0
@@ -101,11 +105,20 @@ namespace {
 
 #if SCRUBBER_ZEROALLOC_ACTIVE
 
-/// A fixed corpus of well-formed single-minute datagrams over a small,
-/// recurring set of flow keys — so the flow cache stops growing after the
-/// first round and every later round is pure steady state.
-std::vector<std::vector<std::uint8_t>> make_corpus() {
-  std::vector<std::vector<std::uint8_t>> corpus;
+/// A fixed corpus over a small, recurring set of flow keys — so the flow
+/// cache stops growing after the first round and every later round is
+/// pure steady state. After every fourth well-formed datagram comes a
+/// malformed one, cycling through a truncated copy, a copy that declares
+/// more samples than it carries (its real samples are routed before the
+/// walk starves, so the rollback unwinds them) and random garbage.
+struct Corpus {
+  std::vector<std::vector<std::uint8_t>> wire;
+  std::size_t malformed = 0;
+};
+
+Corpus make_corpus() {
+  Corpus corpus;
+  util::Rng rng(0x2E40A11C);
   for (std::uint32_t d = 0; d < 64; ++d) {
     net::SflowDatagram datagram;
     datagram.agent = net::Ipv4Address(0x0AFF0001);
@@ -126,7 +139,26 @@ std::vector<std::vector<std::uint8_t>> make_corpus() {
       sample.packet.ingress_member = 5;
       datagram.samples.push_back(sample);
     }
-    corpus.push_back(datagram.encode());
+    std::vector<std::uint8_t> wire = datagram.encode();
+    corpus.wire.push_back(wire);
+    if (d % 4 != 3) continue;
+    switch ((d / 4) % 3) {
+      case 0:  // any strict prefix starves the walk
+        wire.resize(1 + rng.below(wire.size() - 1));
+        break;
+      case 1:  // declared sample count (bytes 24..27) of 7, four encoded
+        wire[24] = 0;
+        wire[25] = 0;
+        wire[26] = 0;
+        wire[27] = 7;
+        break;
+      default:
+        wire.resize(1 + rng.below(512));
+        for (auto& byte : wire) byte = static_cast<std::uint8_t>(rng.below(256));
+        break;
+    }
+    corpus.wire.push_back(std::move(wire));
+    ++corpus.malformed;
   }
   return corpus;
 }
@@ -140,6 +172,13 @@ void push_round(Engine& engine, WireBufferPool& pool,
                 bool copy) {
   for (const std::vector<std::uint8_t>& wire : corpus) {
     if (copy) {
+      // On a dry pool push_wire(span) hands its partial batch to the
+      // decode worker; batch boundaries would then stop falling on round
+      // boundaries and quiesce() would wait on slots parked in the
+      // engine's pending batch. So wait for a free slot first.
+      while (pool.in_use() >= pool.slots()) {
+        std::this_thread::yield();
+      }
       engine.push_wire(std::span<const std::uint8_t>(wire));
       continue;
     }
@@ -155,7 +194,8 @@ void push_round(Engine& engine, WireBufferPool& pool,
 
 /// Waits until every pooled slot has been recycled (the decode worker has
 /// walked and released every in-flight datagram), then a grace period for
-/// the shard workers to drain their rings.
+/// the shard workers to drain their rings. Needs the engine's pending
+/// batch to be empty: each round must end on a batch boundary.
 void quiesce(const WireBufferPool& pool) {
   while (pool.in_use() != 0) {
     std::this_thread::yield();
@@ -187,13 +227,14 @@ TEST(ZeroAlloc, SteadyStatePooledIngestDoesNotAllocate) {
   WireBufferPool* pool = engine.wire_pool();
   ASSERT_NE(pool, nullptr);
 
-  const auto corpus = make_corpus();
+  const Corpus corpus = make_corpus();
+  ASSERT_EQ(corpus.wire.size() % config.batch_records, 0u);
 
   // Warm-up: mint every capacity — pool slots circulate, the batch and
   // shard recycle rings fill with their steady-state fleets, the flow
   // cache reaches its final table size for this key set.
   for (int round = 0; round < 8; ++round) {
-    push_round(engine, *pool, corpus, round % 2 == 1);
+    push_round(engine, *pool, corpus.wire, round % 2 == 1);
   }
   quiesce(*pool);
 
@@ -201,7 +242,7 @@ TEST(ZeroAlloc, SteadyStatePooledIngestDoesNotAllocate) {
   // verdicts are collected and checked after.
   const std::uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
   for (int round = 0; round < 4; ++round) {
-    push_round(engine, *pool, corpus, round % 2 == 1);
+    push_round(engine, *pool, corpus.wire, round % 2 == 1);
   }
   quiesce(*pool);
   const std::uint64_t after = g_alloc_count.load(std::memory_order_relaxed);
@@ -212,8 +253,9 @@ TEST(ZeroAlloc, SteadyStatePooledIngestDoesNotAllocate) {
 
   engine.finish();
   const EngineSnapshot snapshot = engine.stats();
-  EXPECT_EQ(snapshot.decode_errors, 0u);
-  EXPECT_EQ(snapshot.datagrams, corpus.size() * 12);  // 8 warm + 4 measured
+  // 8 warm + 4 measured rounds.
+  EXPECT_EQ(snapshot.decode_errors, corpus.malformed * 12);
+  EXPECT_EQ(snapshot.datagrams, (corpus.wire.size() - corpus.malformed) * 12);
   EXPECT_GT(snapshot.pool_highwater, 0u);
   EXPECT_GT(sunk_flows, 0u);
 #endif

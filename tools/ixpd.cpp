@@ -6,8 +6,8 @@
 //        [--batch 512] [--gen-threads N] [--train-threads N]
 //        [--agg-threads N] [--simd auto|scalar|avx2]
 //        [--stats-every 240] [--warmup 1440] [--retrain 1440]
-//   ixpd --listen <port> [--bind 127.0.0.1] [--backend auto|recvmmsg|io_uring]
-//        [--recv-batch 32] [--idle-stop-ms 0]
+//   ixpd --listen <port> [--bind 127.0.0.1] [--recv-batch 32]
+//        [--idle-stop-ms 0]
 //        --profile ... --minutes ...
 //
 // The daemon replays a seeded synthetic trace (the repo's stand-in for the
@@ -33,15 +33,12 @@
 // kernel socket-buffer drops.
 
 #include <algorithm>
-#include <array>
 #include <cstdio>
-#include <cstring>
-#include <map>
 #include <stdexcept>
 #include <string>
-#include <string_view>
 #include <thread>
 
+#include "args.hpp"
 #include "core/live_detector.hpp"
 #include "flowgen/generator.hpp"
 #include "netio/listener.hpp"
@@ -52,51 +49,7 @@
 namespace {
 
 using namespace scrubber;
-
-/// Every option run() reads; any other --key is an error, so a typo or a
-/// retired flag fails loudly instead of being ignored.
-constexpr std::array<std::string_view, 21> kOptions = {
-    "profile", "minutes", "seed", "sampling", "gen-threads",        // trace
-    "shards", "queue", "policy", "batch",                           // engine
-    "warmup", "retrain", "min-flows", "train-threads", "agg-threads",
-    "simd",                                                         // detector
-    "listen", "bind", "backend", "recv-batch", "idle-stop-ms",      // wire
-    "stats-every"};
-
-/// Minimal --key value argument parser (same shape as scrubberctl's).
-class Args {
- public:
-  Args(int argc, char** argv, int first) {
-    for (int i = first; i + 1 < argc; i += 2) {
-      if (std::strncmp(argv[i], "--", 2) != 0) {
-        throw std::runtime_error(std::string("expected --option, got ") +
-                                 argv[i]);
-      }
-      const std::string_view key = argv[i] + 2;
-      if (std::find(kOptions.begin(), kOptions.end(), key) == kOptions.end()) {
-        throw std::runtime_error(std::string("unknown option ") + argv[i]);
-      }
-      values_[std::string(key)] = argv[i + 1];
-    }
-    if ((argc - first) % 2 != 0) {
-      throw std::runtime_error("dangling option without a value");
-    }
-  }
-
-  [[nodiscard]] std::string get(const std::string& key,
-                                const std::string& fallback) const {
-    const auto it = values_.find(key);
-    return it == values_.end() ? fallback : it->second;
-  }
-  [[nodiscard]] std::uint64_t number(const std::string& key,
-                                     std::uint64_t fallback) const {
-    const auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::stoull(it->second);
-  }
-
- private:
-  std::map<std::string, std::string> values_;
-};
+using tools::Args;
 
 flowgen::IxpProfile profile_by_name(const std::string& name) {
   for (const auto& profile : flowgen::all_ixp_profiles()) {
@@ -110,7 +63,13 @@ flowgen::IxpProfile profile_by_name(const std::string& name) {
 }
 
 int run(int argc, char** argv) {
-  const Args args(argc, argv, 1);
+  const Args args(argc, argv, 1,
+                  {"profile", "minutes", "seed", "sampling", "gen-threads",  // trace
+                   "shards", "queue", "policy", "batch",                     // engine
+                   "warmup", "retrain", "min-flows", "train-threads",
+                   "agg-threads", "simd",                                    // detector
+                   "listen", "bind", "recv-batch", "idle-stop-ms",           // wire
+                   "stats-every"});
   const auto profile = profile_by_name(args.get("profile", "us2"));
   const std::uint32_t minutes =
       static_cast<std::uint32_t>(args.number("minutes", 2880));
@@ -204,14 +163,6 @@ int run(int argc, char** argv) {
         static_cast<std::size_t>(args.number("recv-batch", 32));
     listener_config.idle_stop_ms =
         static_cast<int>(args.number("idle-stop-ms", 0));
-    const std::string backend = args.get("backend", "auto");
-    if (backend == "recvmmsg") {
-      listener_config.backend = netio::RecvBackend::kRecvmmsg;
-    } else if (backend == "io_uring") {
-      listener_config.backend = netio::RecvBackend::kIoUring;
-    } else if (backend != "auto") {
-      throw std::runtime_error("--backend must be auto, recvmmsg or io_uring");
-    }
     netio::UdpListener listener(
         listener_config, engine, [&](std::uint32_t minute) {
           while (next_update < updates.size() &&
@@ -223,11 +174,11 @@ int run(int argc, char** argv) {
           }
         });
     std::printf("ixpd: profile=%s minutes=%u shards=%zu queue=%zu batch=%zu "
-                "policy=%s listen=%s:%u backend=%s simd=%s seed=%llu\n",
+                "policy=%s listen=%s:%u simd=%s seed=%llu\n",
                 profile.name.c_str(), minutes, engine_config.shards,
                 engine_config.queue_capacity, engine_config.batch_records,
                 policy.c_str(), listener_config.bind_address.c_str(),
-                listener.port(), backend.c_str(),
+                listener.port(),
                 util::simd_level_name(util::simd_level()),
                 static_cast<unsigned long long>(seed));
     std::fflush(stdout);

@@ -17,12 +17,11 @@
 // sentinel (carrying the datagram total) is sent --fin times.
 
 #include <cstdio>
-#include <cstring>
-#include <map>
 #include <stdexcept>
 #include <string>
 #include <thread>
 
+#include "args.hpp"
 #include "core/collector.hpp"
 #include "flowgen/generator.hpp"
 #include "netio/loadgen.hpp"
@@ -30,44 +29,7 @@
 namespace {
 
 using namespace scrubber;
-
-/// Minimal --key value argument parser (same shape as ixpd's).
-class Args {
- public:
-  Args(int argc, char** argv, int first) {
-    for (int i = first; i + 1 < argc; i += 2) {
-      if (std::strncmp(argv[i], "--", 2) != 0) {
-        throw std::runtime_error(std::string("expected --option, got ") +
-                                 argv[i]);
-      }
-      values_[argv[i] + 2] = argv[i + 1];
-    }
-    if ((argc - first) % 2 != 0) {
-      throw std::runtime_error("dangling option without a value");
-    }
-  }
-
-  [[nodiscard]] std::string get(const std::string& key,
-                                const std::string& fallback) const {
-    const auto it = values_.find(key);
-    return it == values_.end() ? fallback : it->second;
-  }
-  [[nodiscard]] std::uint64_t number(const std::string& key,
-                                     std::uint64_t fallback) const {
-    const auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::stoull(it->second);
-  }
-  [[nodiscard]] double real(const std::string& key, double fallback) const {
-    const auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::stod(it->second);
-  }
-  [[nodiscard]] bool has(const std::string& key) const {
-    return values_.count(key) != 0;
-  }
-
- private:
-  std::map<std::string, std::string> values_;
-};
+using tools::Args;
 
 flowgen::IxpProfile profile_by_name(const std::string& name) {
   for (const auto& profile : flowgen::all_ixp_profiles()) {
@@ -81,7 +43,9 @@ flowgen::IxpProfile profile_by_name(const std::string& name) {
 }
 
 int run(int argc, char** argv) {
-  const Args args(argc, argv, 1);
+  const Args args(argc, argv, 1,
+                  {"port", "host", "profile", "minutes", "seed", "sampling",
+                   "rate", "schedule-seed", "fin", "gen-threads"});
   if (!args.has("port")) {
     throw std::runtime_error(
         "usage: scrubber-loadgen --port <port> [--host 127.0.0.1] "

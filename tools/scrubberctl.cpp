@@ -13,12 +13,11 @@
 // models are the JSON interchange formats of arm::RuleSet / ml::model_io.
 
 #include <cstdio>
-#include <cstring>
 #include <fstream>
-#include <map>
 #include <sstream>
 #include <string>
 
+#include "args.hpp"
 #include "core/balancer.hpp"
 #include "core/acl.hpp"
 #include "core/explain.hpp"
@@ -29,40 +28,7 @@
 namespace {
 
 using namespace scrubber;
-
-/// Minimal --key value argument parser.
-class Args {
- public:
-  Args(int argc, char** argv, int first) {
-    for (int i = first; i + 1 < argc; i += 2) {
-      if (std::strncmp(argv[i], "--", 2) != 0) {
-        throw std::runtime_error(std::string("expected --option, got ") + argv[i]);
-      }
-      values_[argv[i] + 2] = argv[i + 1];
-    }
-    if ((argc - first) % 2 != 0) {
-      throw std::runtime_error("dangling option without a value");
-    }
-  }
-
-  [[nodiscard]] std::string get(const std::string& key,
-                                const std::string& fallback = "") const {
-    const auto it = values_.find(key);
-    return it == values_.end() ? fallback : it->second;
-  }
-  [[nodiscard]] std::string require(const std::string& key) const {
-    const auto it = values_.find(key);
-    if (it == values_.end()) throw std::runtime_error("missing --" + key);
-    return it->second;
-  }
-  [[nodiscard]] double number(const std::string& key, double fallback) const {
-    const auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::stod(it->second);
-  }
-
- private:
-  std::map<std::string, std::string> values_;
-};
+using tools::Args;
 
 flowgen::IxpProfile profile_by_name(const std::string& name) {
   for (const auto& profile : flowgen::all_ixp_profiles()) {
@@ -114,9 +80,12 @@ ml::ModelKind model_by_name(const std::string& name) {
 
 // ---------------------------------------------------------------------------
 
-int cmd_generate(const Args& args) {
+int cmd_generate(int argc, char** argv) {
+  const Args args(argc, argv, 2,
+                  {"out", "profile", "seed", "minutes", "start", "balanced",
+                   "ground-truth"});
   const auto profile = profile_by_name(args.get("profile", "us1"));
-  const auto seed = static_cast<std::uint64_t>(args.number("seed", 42));
+  const auto seed = args.number("seed", 42);
   const auto minutes = static_cast<std::uint32_t>(args.number("minutes", 1440));
   const auto start = static_cast<std::uint32_t>(args.number("start", 0));
   const bool balanced = args.get("balanced", "true") != "false";
@@ -146,11 +115,12 @@ int cmd_generate(const Args& args) {
   return 0;
 }
 
-int cmd_balance(const Args& args) {
+int cmd_balance(int argc, char** argv) {
+  const Args args(argc, argv, 2, {"in", "out", "seed"});
   const auto flows = read_flow_file(args.require("in"));
   core::BalanceTotals totals;
-  const auto balanced = core::balance_trace(
-      flows, static_cast<std::uint64_t>(args.number("seed", 1)), &totals);
+  const auto balanced =
+      core::balance_trace(flows, args.number("seed", 1), &totals);
   write_flow_file(args.require("out"), balanced);
   std::printf("balanced %llu -> %llu flows (blackhole share %.1f%%)\n",
               static_cast<unsigned long long>(totals.raw_flows),
@@ -159,15 +129,18 @@ int cmd_balance(const Args& args) {
   return 0;
 }
 
-int cmd_mine(const Args& args) {
+int cmd_mine(int argc, char** argv) {
+  const Args args(argc, argv, 2,
+                  {"flows", "out", "min-confidence", "min-support", "accept",
+                   "min-items"});
   const auto flows = read_flow_file(args.require("flows"));
   core::ScrubberConfig config;
-  config.mining.min_confidence = args.number("min-confidence", 0.8);
-  config.mining.min_support = args.number("min-support", 0.002);
+  config.mining.min_confidence = args.real("min-confidence", 0.8);
+  config.mining.min_support = args.real("min-support", 0.002);
   core::IxpScrubber scrubber(config);
   std::array<std::size_t, 3> counts{};
   auto rules = scrubber.mine_tagging_rules(flows, &counts);
-  const double accept = args.number("accept", 0.0);
+  const double accept = args.real("accept", 0.0);
   if (accept > 0.0) {
     const auto accepted = core::accept_rules_above(
         rules, accept, 0.0, static_cast<std::size_t>(args.number("min-items", 0)));
@@ -180,7 +153,8 @@ int cmd_mine(const Args& args) {
   return 0;
 }
 
-int cmd_train(const Args& args) {
+int cmd_train(int argc, char** argv) {
+  const Args args(argc, argv, 2, {"flows", "out", "model", "rules"});
   const auto flows = read_flow_file(args.require("flows"));
   core::ScrubberConfig config;
   config.model = model_by_name(args.get("model", "xgb"));
@@ -203,7 +177,8 @@ int cmd_train(const Args& args) {
   return 0;
 }
 
-int cmd_classify(const Args& args) {
+int cmd_classify(int argc, char** argv) {
+  const Args args(argc, argv, 2, {"flows", "model", "rules", "explain"});
   const auto flows = read_flow_file(args.require("flows"));
   core::IxpScrubber scrubber;
   if (const std::string rules_path = args.get("rules"); !rules_path.empty()) {
@@ -233,7 +208,8 @@ int cmd_classify(const Args& args) {
   return 0;
 }
 
-int cmd_acl(const Args& args) {
+int cmd_acl(int argc, char** argv) {
+  const Args args(argc, argv, 2, {"rules"});
   const auto rules =
       arm::RuleSet::from_json(util::Json::parse(read_text_file(args.require("rules"))));
   std::fputs(core::generate_acl(rules).c_str(), stdout);
@@ -261,13 +237,12 @@ int main(int argc, char** argv) {
   if (argc < 2) return usage();
   const std::string command = argv[1];
   try {
-    const Args args(argc, argv, 2);
-    if (command == "generate") return cmd_generate(args);
-    if (command == "balance") return cmd_balance(args);
-    if (command == "mine") return cmd_mine(args);
-    if (command == "train") return cmd_train(args);
-    if (command == "classify") return cmd_classify(args);
-    if (command == "acl") return cmd_acl(args);
+    if (command == "generate") return cmd_generate(argc, argv);
+    if (command == "balance") return cmd_balance(argc, argv);
+    if (command == "mine") return cmd_mine(argc, argv);
+    if (command == "train") return cmd_train(argc, argv);
+    if (command == "classify") return cmd_classify(argc, argv);
+    if (command == "acl") return cmd_acl(argc, argv);
     return usage();
   } catch (const std::exception& e) {
     std::fprintf(stderr, "scrubberctl %s: %s\n", command.c_str(), e.what());
