@@ -1,5 +1,8 @@
 #include "flowgen/profile.hpp"
 
+#include <cctype>
+#include <stdexcept>
+
 namespace scrubber::flowgen {
 
 IxpProfile ixp_ce1() {
@@ -103,6 +106,17 @@ IxpProfile self_attack_profile() {
   p.withdraw_delay_mean_min = 0.0;
   p.spurious_blackhole_per_day = 0.0;
   return p;
+}
+
+IxpProfile profile_by_name(const std::string& name) {
+  for (const auto& profile : all_ixp_profiles()) {
+    std::string lowered = profile.name;  // "IXP-US1" -> accept "us1"
+    for (auto& c : lowered) c = static_cast<char>(std::tolower(c));
+    if (lowered == "ixp-" + name || lowered == name) return profile;
+  }
+  if (name == "sas") return self_attack_profile();
+  throw std::runtime_error("unknown profile: " + name +
+                           " (use ce1/us1/se/us2/ce2/sas)");
 }
 
 }  // namespace scrubber::flowgen

@@ -80,4 +80,9 @@ struct IxpProfile {
 /// disjoint reflector universe, pure attack + contemporaneous benign data.
 [[nodiscard]] IxpProfile self_attack_profile();
 
+/// The profile a command line names: a standard profile's name in lower
+/// case with or without its "ixp-" prefix ("se", "ixp-se"), or "sas" for
+/// the self-attack profile. Throws std::runtime_error on any other name.
+[[nodiscard]] IxpProfile profile_by_name(const std::string& name);
+
 }  // namespace scrubber::flowgen

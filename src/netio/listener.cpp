@@ -78,11 +78,9 @@ void UdpListener::run() {
                                   std::memory_order_relaxed);
         fin_seen_.store(true, std::memory_order_relaxed);
         listen_.add_busy_ns(now_ns() - begin);
-        if (config_.finish_engine_on_fin) {
-          // This thread is the engine's producer; finishing here keeps
-          // the single-producer contract (and drains every stage).
-          engine_.finish();
-        }
+        // This thread is the engine's producer; finishing here keeps
+        // the single-producer contract (and drains every stage).
+        engine_.finish();
         return;
       }
       listen_.add_in();

@@ -54,9 +54,6 @@ struct ListenerConfig {
   /// A lost FIN sentinel then ends the run instead of hanging it.
   int idle_stop_ms = 0;
   RecvBackend backend = RecvBackend::kRecvmmsg;
-  /// After the FIN sentinel, drain and finish() the engine on the listener
-  /// thread (the producer thread, per the engine contract).
-  bool finish_engine_on_fin = true;
 };
 
 /// Point-in-time listener statistics.
@@ -97,7 +94,8 @@ class UdpListener {
   [[nodiscard]] std::uint16_t port() const { return socket_.local_port(); }
 
   /// Receive loop on the calling thread; returns after the FIN sentinel
-  /// (engine finished, when configured), stop(), or the idle timeout.
+  /// (having drained and finished the engine on this, the producer,
+  /// thread), stop(), or the idle timeout.
   void run();
 
   /// run() on a dedicated thread; pair with join().

@@ -29,19 +29,13 @@ Engine::Engine(EngineConfig config, core::MinuteBatchSink minute_sink)
       minute_sink_(std::move(minute_sink)),
       wire_pool_(checked_pool_slots(config.wire_pool_slots),
                  config.wire_slot_bytes),
-      batch_records_(effective_batch_records(config.batch_records,
-                                             config.queue_capacity)),
-      input_ring_(batch_ring_slots(config.queue_capacity, batch_records_)),
+      input_ring_(config.queue_capacity),
       score_ring_(std::max<std::size_t>(16, config.queue_capacity / 16)),
-      batch_recycle_(batch_ring_slots(config.queue_capacity, batch_records_) +
-                     4),
       start_(std::chrono::steady_clock::now()) {
-  pending_.slots.reserve(batch_records_);
   ShardedCollectorConfig sharded_config;
   sharded_config.shards = config_.shards;
   sharded_config.collector = config_.collector;
   sharded_config.queue_capacity = config_.queue_capacity;
-  sharded_config.batch_records = config_.batch_records;
   sharded_ = std::make_unique<ShardedCollector>(
       sharded_config,
       [this](std::uint32_t minute, std::span<const net::FlowRecord> flows) {
@@ -73,91 +67,55 @@ Engine::~Engine() {
   }
 }
 
-bool Engine::flush_pending(bool block) {
-  if (pending_.slots.empty() &&
-      pending_.control == InputBatch::Control::kNone) {
-    return true;
-  }
-  if (block) {
-    input_ring_.push_blocking(std::move(pending_), abort_);
-  } else if (!input_ring_.try_push(std::move(pending_))) {
-    return false;  // ring full; batch stays pending (try_push left it intact)
-  }
-  // Prefer a recycled batch (drained by the decode worker; its cleared
-  // slot vector keeps capacity) over allocating a fresh one. Once the
-  // warm-up rounds have minted ring-capacity + in-flight batches, the
-  // recycle ring is never empty here and steady state allocates nothing.
-  if (!batch_recycle_.try_pop(pending_)) {
-    pending_ = InputBatch{};
-  }
-  pending_.slots.clear();
-  pending_.control = InputBatch::Control::kNone;
-  pending_.slots.reserve(batch_records_);
-  decode_.note_queue_depth(input_ring_.size() * batch_records_);
-  return true;
-}
-
 bool Engine::reject() {
   input_drops_.fetch_add(1, std::memory_order_relaxed);
   decode_.add_drop();
   return false;
 }
 
-bool Engine::submit(WireSlot&& slot) {
-  const bool block = config_.backpressure == Backpressure::kBlock;
-  if (pending_.slots.size() >= batch_records_ && !flush_pending(block)) {
-    // kDrop with a full ring: shed only the incoming datagram (its slot
-    // recycles when the caller's handle dies). The pending batch is kept
-    // and retried on the next submission, so accepted datagrams are never
-    // lost and drops count rejected pushes 1:1.
-    return reject();
+bool Engine::push_wire(WireSlot slot) {
+  InputItem item{std::move(slot), nullptr};
+  if (config_.backpressure == Backpressure::kBlock) {
+    input_ring_.push_blocking(std::move(item), abort_);
+  } else if (!input_ring_.try_push(item)) {
+    return reject();  // the slot recycles when `item` dies
   }
-  pending_.slots.push_back(std::move(slot));
-  if (pending_.slots.size() >= batch_records_) flush_pending(block);
+  decode_.note_queue_depth(input_ring_.size());
   return true;
 }
-
-void Engine::submit_control(InputBatch::Control control) {
-  // Control events cut the batch: BGP ordering relative to data is the
-  // submission order, and control is never deferred behind a partial
-  // batch (nor ever dropped — the flush blocks under either policy).
-  pending_.control = control;
-  flush_pending(true);
-}
-
-bool Engine::push_wire(WireSlot slot) { return submit(std::move(slot)); }
 
 bool Engine::push_wire(std::span<const std::uint8_t> wire) {
   if (wire.size() > wire_pool_.slot_bytes()) return reject();
   WireSlot slot = wire_pool_.try_acquire();
   if (!slot) {
-    // Dry pool: the pending batch may hold the very slots this push needs,
-    // so hand it to the decode worker first; then either wait for one of
-    // them to recycle or shed this datagram.
-    if (config_.backpressure == Backpressure::kDrop) {
-      flush_pending(false);
-      return reject();
-    }
-    flush_pending(true);
+    // Dry pool: the slots this thread does not hold are in the ring or
+    // being walked, so one recycles without its help.
+    if (config_.backpressure == Backpressure::kDrop) return reject();
     while (!(slot = wire_pool_.try_acquire_uncounted())) {
       std::this_thread::yield();
     }
   }
   std::copy(wire.begin(), wire.end(), slot.data());
   slot.set_size(wire.size());
-  return submit(std::move(slot));
+  return push_wire(std::move(slot));
+}
+
+void Engine::push_control(Control control) {
+  // Control is never dropped: labels depend on every BGP update, and the
+  // finish marker must reach the decode worker.
+  input_ring_.push_blocking(
+      InputItem{WireSlot{}, std::make_unique<Control>(std::move(control))},
+      abort_);
 }
 
 void Engine::push_bgp(bgp::UpdateMessage update, std::uint64_t now_ms) {
-  pending_.update = std::move(update);
-  pending_.now_ms = now_ms;
-  submit_control(InputBatch::Control::kBgp);
+  push_control(Control{false, std::move(update), now_ms});
 }
 
 void Engine::finish() {
   if (finished_) return;
   finished_ = true;
-  submit_control(InputBatch::Control::kFinish);
+  push_control(Control{true, {}, 0});
   decode_thread_.join();  // returns once the sharded collector finished
   score_thread_.join();   // returns once the finish marker crossed scoring
   // Counter coherence across the stage graph, checked at the one point
@@ -186,15 +144,15 @@ void Engine::finish() {
 }
 
 void Engine::decode_worker() {
-  InputBatch batch;
+  InputItem item;
   for (;;) {
-    if (!input_ring_.try_pop(batch)) {
+    if (!input_ring_.try_pop(item)) {
       if (abort_.load(std::memory_order_relaxed)) return;
       std::this_thread::yield();
       continue;
     }
-    for (WireSlot& slot : batch.slots) {
-      decode_.add_in();
+    decode_.add_in();
+    if (item.slot) {
       // Fused decode→route: walk the wire bytes in place and append
       // samples straight into per-shard batches — no SflowDatagram
       // materialization, no route-stage copy. The walk cost lands in the
@@ -206,7 +164,7 @@ void Engine::decode_worker() {
       // steady-state growth is amortized to zero (proved by the
       // SCRUBBER_CHECKED counting-allocator test).
       // NOLINTNEXTLINE(scrubber-transitive): route_sample's push_back grows recycled shard batches only during warm-up (see above)
-      const net::DecodeStatus status = sharded_->ingest_wire(slot.bytes());
+      const net::DecodeStatus status = sharded_->ingest_wire(item.slot.bytes());
       if (status == net::DecodeStatus::kOk) {
         datagrams_.fetch_add(1, std::memory_order_relaxed);
         decode_.add_out();
@@ -215,40 +173,27 @@ void Engine::decode_worker() {
       } else {
         decode_errors_.fetch_add(1, std::memory_order_relaxed);
       }
-      slot.release();  // recycle the pooled buffer
+      item.slot.release();  // recycle the pooled buffer
       decode_.add_busy_ns(now_ns() - begin);
       // scrubber-hot-end
+      continue;
     }
-    switch (batch.control) {
-      case InputBatch::Control::kNone:
-        break;
-      case InputBatch::Control::kBgp: {
-        decode_.add_in();
-        const std::uint64_t begin = now_ns();
-        bgp_updates_.fetch_add(1, std::memory_order_relaxed);
-        sharded_->ingest_bgp(batch.update, batch.now_ms);
-        decode_.add_out();
-        route_.add_busy_ns(now_ns() - begin);
-        break;
-      }
-      case InputBatch::Control::kFinish: {
-        decode_.add_in();
-        sharded_->finish();  // all minute batches now sit in the score ring
-        // finish() joined the merge thread, so the score ring's producer
-        // endpoint hands off to this thread for the final sentinel.
-        score_ring_.adopt_producer();
-        ScoreItem fin;
-        fin.finish = true;
-        score_ring_.push_blocking(std::move(fin), abort_);
-        return;
-      }
+    const Control& control = *item.control;
+    if (control.finish) {
+      sharded_->finish();  // all minute batches now sit in the score ring
+      // finish() joined the merge thread, so the score ring's producer
+      // endpoint hands off to this thread for the final sentinel.
+      score_ring_.adopt_producer();
+      ScoreItem fin;
+      fin.finish = true;
+      score_ring_.push_blocking(std::move(fin), abort_);
+      return;
     }
-    // Hand the drained batch back to the producer: clear() keeps the slot
-    // vector's capacity, so steady-state batching allocates nothing. A
-    // full recycle ring just drops the batch.
-    batch.slots.clear();
-    batch.control = InputBatch::Control::kNone;
-    (void)batch_recycle_.try_push(std::move(batch));
+    const std::uint64_t begin = now_ns();
+    bgp_updates_.fetch_add(1, std::memory_order_relaxed);
+    sharded_->ingest_bgp(control.update, control.now_ms);
+    decode_.add_out();
+    route_.add_busy_ns(now_ns() - begin);
   }
 }
 

@@ -15,14 +15,13 @@
 // decode directly; backpressure propagates queue by queue until the
 // producer either blocks or drops, per policy.
 //
-// Every ring edge moves batches (see batch.hpp): the producer accumulates
-// slots into a pending InputBatch and flushes at `batch_records` slots or
-// immediately on a control event (BGP, finish), which rides at the tail
-// of the batch it cuts — so relative order of data and control is exactly
-// the submission order. Under kDrop a full ring or a dry pool drops only
-// the incoming datagram — buffered slots are retried on the next
-// submission and on finish, so every accepted datagram is eventually
-// delivered and `input_drops` equals rejected push_wire() calls.
+// The input ring carries one datagram slot per entry, or one rare control
+// event (a BGP update or the finish marker), in submission order: every
+// accepted datagram is visible to the decode worker as soon as push_wire
+// returns, and control keeps its exact stream position. Under kDrop a full
+// ring or a dry pool drops only the incoming datagram, so `input_drops`
+// equals rejected push_wire() calls. The shard rings downstream still move
+// sample batches (see batch.hpp).
 //
 // Producer API (push_wire / push_bgp / finish) must be called from one
 // thread, which is also the pool's single acquirer. The minute sink runs
@@ -36,7 +35,6 @@
 #include <thread>
 #include <vector>
 
-#include "runtime/batch.hpp"
 #include "runtime/counters.hpp"
 #include "runtime/ring.hpp"
 #include "runtime/sharded_collector.hpp"
@@ -55,9 +53,6 @@ struct EngineConfig {
   std::size_t queue_capacity = 1024;    ///< bound for every stage queue (records)
   Backpressure backpressure = Backpressure::kBlock;
   core::Collector::Config collector{};  ///< per-shard collector config
-  /// Records per ring batch (clamped by effective_batch_records so small
-  /// test queues still exercise backpressure); 1 = single-record transfer.
-  std::size_t batch_records = kDefaultBatchRecords;
   /// Slots in the engine's WireBufferPool (see wire_pool.hpp): every
   /// datagram in flight between producer and decode worker holds one.
   /// Must be > 0.
@@ -83,10 +78,10 @@ class Engine {
   bool push_wire(WireSlot slot);
 
   /// Copies raw sFlow wire bytes into a slot of the engine's pool and
-  /// enqueues it. A dry pool first flushes the pending batch so its slots
-  /// can recycle, then waits (kBlock) or drops (kDrop). Bytes longer than
-  /// `wire_slot_bytes` are rejected, never truncated. Returns false iff
-  /// dropped or rejected; both count as one input drop.
+  /// enqueues it. A dry pool waits for the decode worker to recycle a slot
+  /// (kBlock) or drops (kDrop). Bytes longer than `wire_slot_bytes` are
+  /// rejected, never truncated. Returns false iff dropped or rejected;
+  /// both count as one input drop.
   bool push_wire(std::span<const std::uint8_t> wire);
 
   /// The engine's wire buffer pool (never null). Receivers acquire slots
@@ -111,29 +106,26 @@ class Engine {
     std::uint32_t minute = 0;
     std::vector<net::FlowRecord> flows;
   };
-  /// The input ring's unit of transfer: up to `batch_records` datagram
-  /// slots, then at most one control event, which cuts the batch.
-  struct InputBatch {
-    enum class Control : std::uint8_t { kNone, kBgp, kFinish };
-    std::vector<WireSlot> slots;
-    Control control = Control::kNone;
-    bgp::UpdateMessage update;  ///< kBgp
-    std::uint64_t now_ms = 0;   ///< kBgp
+  /// A BGP update, or the finish marker.
+  struct Control {
+    bool finish = false;
+    bgp::UpdateMessage update;  ///< !finish
+    std::uint64_t now_ms = 0;   ///< !finish
+  };
+  /// One input-ring entry: a datagram slot, or else a control event. The
+  /// control lives on the heap so the entry stays 24 bytes; BGP updates
+  /// and the finish marker are rare.
+  struct InputItem {
+    WireSlot slot;
+    std::unique_ptr<Control> control;
   };
 
   void decode_worker();
   void score_worker();
-  /// Appends one datagram slot to the pending batch (false = dropped).
-  bool submit(WireSlot&& slot);
-  /// Attaches a control event to the pending batch and flushes it,
-  /// blocking under either policy.
-  void submit_control(InputBatch::Control control);
+  /// Pushes one control event, blocking under either policy.
+  void push_control(Control control);
   /// Counts one rejected push_wire() call.
   bool reject();
-  /// Pushes the pending batch into the input ring. `block` spins until it
-  /// fits; otherwise a full ring leaves the batch pending and returns
-  /// false. No-op (true) when nothing is pending.
-  bool flush_pending(bool block);
 
   EngineConfig config_;
   core::MinuteBatchSink minute_sink_;
@@ -141,13 +133,8 @@ class Engine {
   /// and slot destructors recycle into the pool — reverse destruction
   /// order keeps the pool alive until they ran.
   WireBufferPool wire_pool_;
-  std::size_t batch_records_;   ///< effective records per input batch
-  InputBatch pending_;          ///< producer thread only
-  SpscRing<InputBatch> input_ring_;
+  SpscRing<InputItem> input_ring_;
   SpscRing<ScoreItem> score_ring_;
-  /// Drained input batches flowing back from the decode worker to the
-  /// producer so event-vector capacity is reused, not reallocated.
-  SpscRing<InputBatch> batch_recycle_;
   std::unique_ptr<ShardedCollector> sharded_;
   std::thread decode_thread_;
   std::thread score_thread_;

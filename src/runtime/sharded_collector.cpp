@@ -5,6 +5,7 @@
 #include <limits>
 #include <tuple>
 
+#include "runtime/batch.hpp"
 #include "util/check.hpp"
 
 namespace scrubber::runtime {
@@ -19,6 +20,16 @@ std::uint64_t now_ns() noexcept {
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
+}
+
+/// An empty kData message sized for one open batch: at most
+/// `batch_samples` sub-datagrams, and the samples of a batch one short of
+/// full plus one datagram of up to batch_samples + 1 samples.
+ShardMessage data_message(std::size_t batch_samples) {
+  ShardMessage message;
+  message.subs.reserve(batch_samples);
+  message.samples.reserve(2 * batch_samples);
+  return message;
 }
 
 }  // namespace
@@ -42,6 +53,17 @@ std::size_t shard_of(net::Ipv4Address dst, std::size_t shards) noexcept {
   return static_cast<std::size_t>(x % shards);
 }
 
+ShardedCollector::Shard::Shard(std::size_t capacity, std::size_t batch_samples)
+    : ring(capacity), recycle(ring.capacity() + 2) {
+  // The fleet of kData messages: a full ring, one in the worker's hands
+  // and one open at the router (which the collector holds in pending_).
+  for (std::size_t i = 0; i <= ring.capacity(); ++i) {
+    (void)recycle.try_push(data_message(batch_samples));
+  }
+  // The worker thread, not this one, is the recycle ring's producer.
+  recycle.adopt_producer();
+}
+
 ShardedCollector::ShardedCollector(ShardedCollectorConfig config,
                                    core::MinuteBatchSink sink)
     : config_(config),
@@ -50,16 +72,16 @@ ShardedCollector::ShardedCollector(ShardedCollectorConfig config,
                                          4 * std::max<std::size_t>(
                                                  config.shards, 1))) {
   if (config_.shards == 0) config_.shards = 1;
-  batch_records_ =
-      effective_batch_records(config_.batch_records, config_.queue_capacity);
+  batch_samples_ = shard_batch_samples(config_.queue_capacity);
   const std::size_t slots =
-      batch_ring_slots(config_.queue_capacity, batch_records_);
+      batch_ring_slots(config_.queue_capacity, batch_samples_);
   shards_.reserve(config_.shards);
-  pending_.resize(config_.shards);
+  pending_.reserve(config_.shards);
   pending_samples_.assign(config_.shards, 0);
   sub_mark_.assign(config_.shards, 0);
   for (std::size_t i = 0; i < config_.shards; ++i) {
-    shards_.push_back(std::make_unique<Shard>(slots));
+    shards_.push_back(std::make_unique<Shard>(slots, batch_samples_));
+    pending_.push_back(data_message(batch_samples_));
   }
   for (std::size_t i = 0; i < config_.shards; ++i) {
     shards_[i]->thread = std::thread([this, i] { shard_worker(i); });
@@ -80,27 +102,19 @@ ShardedCollector::~ShardedCollector() {
   }
 }
 
-ShardMessage ShardedCollector::fresh_data_message(std::size_t s) {
-  ShardMessage recycled;
-  if (shards_[s]->recycle.try_pop(recycled)) {
-    // Drained batch coming back from the worker: vectors are already
-    // cleared (POD/trivial payloads, so clear() kept their capacity) and
-    // steady state appends allocate nothing.
-    recycled.kind = ShardMessage::Kind::kData;
-    recycled.subs.clear();
-    recycled.samples.clear();
-    return recycled;
-  }
-  return ShardMessage{};
-}
-
 void ShardedCollector::flush_shard(std::size_t s) {
   if (pending_[s].subs.empty()) return;
-  ShardMessage message = std::move(pending_[s]);
-  pending_[s] = fresh_data_message(s);
+  Shard& shard = *shards_[s];
+  if (!shard.ring.push_blocking(std::move(pending_[s]), abort_)) return;
+  // The fleet is ring capacity + 2 messages. The ring holds at most its
+  // capacity and the worker one more, so with the open batch just pushed
+  // at least one message is back in the recycle ring: drained by the
+  // worker, vectors cleared with their capacity kept.
+  if (!shard.recycle.try_pop(pending_[s])) {
+    SCRUBBER_ASSERT(false, "shard message fleet ran dry");
+  }
   pending_samples_[s] = 0;
-  shards_[s]->ring.push_blocking(std::move(message), abort_);
-  collect_.note_queue_depth(shards_[s]->ring.size() * batch_records_);
+  collect_.note_queue_depth(shard.ring.size() * batch_samples_);
 }
 
 void ShardedCollector::broadcast(ShardMessage message) {
@@ -140,7 +154,7 @@ void ShardedCollector::route_commit(std::uint32_t uptime_ms,
   collect_.add_in(sample_total);
   const std::size_t n = shards_.size();
   for (std::size_t s = 0; s < n; ++s) {
-    if (pending_samples_[s] >= batch_records_) flush_shard(s);
+    if (pending_samples_[s] >= batch_samples_) flush_shard(s);
   }
 
   // Watermark punctuation: when stream time advances, tell every shard so
@@ -291,7 +305,8 @@ void ShardedCollector::shard_worker(std::size_t index) {
         }
         // Hand the drained batch back to the router: clear() keeps both
         // vectors' capacity (trivial payloads), so steady-state routing
-        // allocates nothing. A full recycle ring just drops the batch.
+        // allocates nothing. The recycle ring holds the whole fleet, so
+        // the push never fails.
         message.subs.clear();
         message.samples.clear();
         (void)self.recycle.try_push(std::move(message));

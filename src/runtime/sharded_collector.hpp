@@ -38,7 +38,6 @@
 #include <vector>
 
 #include "core/collector.hpp"
-#include "runtime/batch.hpp"
 #include "runtime/counters.hpp"
 #include "runtime/ring.hpp"
 
@@ -57,13 +56,13 @@ namespace scrubber::runtime {
 struct ShardedCollectorConfig {
   std::size_t shards = 1;              ///< number of collector shards
   core::Collector::Config collector{}; ///< per-shard collector config
-  std::size_t queue_capacity = 1024;   ///< per-shard ring + merge queue bound (records)
-  /// Target samples per shard-ring batch (see batch.hpp). The router
-  /// accumulates each shard's sub-datagrams until the batch carries this
+  /// Per-shard ring + merge queue bound (records). It also sets the
+  /// shard-ring batch size (shard_batch_samples in batch.hpp): the router
+  /// accumulates each shard's sub-datagrams until the batch carries that
   /// many samples, and flushes every pending batch before broadcasting
   /// any control message — so each shard observes the exact datagram /
   /// BGP / punctuation sequence of the unbatched router.
-  std::size_t batch_records = kDefaultBatchRecords;
+  std::size_t queue_capacity = 1024;
 };
 
 /// One source datagram's contribution to one shard: the header fields the
@@ -148,12 +147,13 @@ class ShardedCollector {
 
  private:
   struct Shard {
-    explicit Shard(std::size_t capacity)
-        : ring(capacity), recycle(capacity + 4) {}
+    Shard(std::size_t capacity, std::size_t batch_samples);
     SpscRing<ShardMessage> ring;
-    /// Drained kData messages flowing back to the router so batch
-    /// capacity is reused instead of reallocated (worker pushes, router
-    /// pops — SPSC in the reverse direction).
+    /// The shard's fleet of kData messages not in the ring, the worker or
+    /// the router's open batch, flowing back to the router so batch
+    /// capacity is reused, never reallocated (worker pushes, router pops —
+    /// SPSC in the reverse direction). The whole fleet is created at
+    /// construction (see the constructor), so steady state creates none.
     SpscRing<ShardMessage> recycle;
     std::atomic<std::uint64_t> late{0};
     std::thread thread;
@@ -164,12 +164,9 @@ class ShardedCollector {
   /// Flushes every pending data batch, then delivers `message` to every
   /// shard — control never overtakes (or is overtaken by) buffered data.
   void broadcast(ShardMessage message);
-  /// Pushes shard `s`'s pending batch into its ring (blocking) and
-  /// resets the accumulator. No-op when empty.
+  /// Pushes shard `s`'s pending batch into its ring (blocking) and opens
+  /// the next one from the recycled fleet. No-op when empty.
   void flush_shard(std::size_t s);
-  /// Replacement accumulator for shard `s`: a recycled kData message
-  /// (cleared, capacity kept) when one is available, else a fresh one.
-  [[nodiscard]] ShardMessage fresh_data_message(std::size_t s);
 
   // --- route cursor (producer thread only) ---
   // ingest_wire() drives three steps: sample appends one sample to its
@@ -186,7 +183,7 @@ class ShardedCollector {
   std::vector<std::unique_ptr<Shard>> shards_;
   MpscQueue<MergeMessage> merge_queue_;
   std::thread merge_thread_;
-  std::size_t batch_records_ = kDefaultBatchRecords;  ///< effective batch size
+  std::size_t batch_samples_ = 1;  ///< samples per shard-ring batch
   // Router accumulators (producer thread only): one open data batch per
   // shard plus its sample count, and a per-ingest stamp marking whether
   // the current source datagram already opened a sub-datagram there.

@@ -287,6 +287,14 @@ TEST(Generator, ProfilesScaleAsTable2) {
   EXPECT_EQ(names.size(), 5u);
 }
 
+TEST(Generator, ProfileByNameResolvesCommandLineNames) {
+  EXPECT_EQ(profile_by_name("se").name, "IXP-SE");
+  EXPECT_EQ(profile_by_name("ixp-se").name, "IXP-SE");
+  EXPECT_EQ(profile_by_name("ce1").name, ixp_ce1().name);
+  EXPECT_EQ(profile_by_name("sas").name, self_attack_profile().name);
+  EXPECT_THROW((void)profile_by_name("xx"), std::runtime_error);
+}
+
 TEST(Generator, MemberIdsStable) {
   TrafficGenerator gen(ixp_us1(), 16);
   const auto trace = gen.generate(0, 30);

@@ -45,7 +45,6 @@ runtime::EngineConfig engine_config() {
   runtime::EngineConfig config;
   config.shards = 2;
   config.queue_capacity = 1024;
-  config.batch_records = 64;
   config.backpressure = runtime::Backpressure::kBlock;
   config.collector.sampling_rate = kSampling;
   return config;

@@ -103,7 +103,7 @@ TEST(UdpListener, ReceivesDatagramsAndFinishesOnFin) {
   EXPECT_GT(snapshot.bytes, 0u);
   EXPECT_FALSE(snapshot.summary().empty());
 
-  // finish_engine_on_fin drained the engine on the listener thread.
+  // The FIN drained and finished the engine on the listener thread.
   const runtime::EngineSnapshot engine_snapshot = engine.stats();
   EXPECT_EQ(engine_snapshot.datagrams, 5u);
   EXPECT_EQ(engine_snapshot.decode_errors, 0u);

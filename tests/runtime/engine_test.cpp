@@ -100,31 +100,31 @@ TEST(Engine, DeliversEveryMinuteInOrderUnderBlockPolicy) {
 }
 
 TEST(Engine, OutputInvariantUnderBatchSize) {
-  // End-to-end over the whole stage graph: input-ring batching plus
-  // shard-ring batching must not change a single emitted flow. batch=1 is
-  // the single-record baseline; 5 forces ragged flushes around control
-  // events; 512 exceeds capacity/4 and exercises the clamp.
-  const auto run_with_batch = [](std::size_t batch_records) {
+  // End-to-end over the whole stage graph: shard-ring batching must not
+  // change a single emitted flow. The queue bound sets the shard batch
+  // (queue/4 samples, at most 512): queue 4 is the single-record
+  // baseline, 20 (batch 5) forces ragged flushes around control events,
+  // 32 (batch 8) is the largest batch these queues allow.
+  const auto run_with_queue = [](std::size_t queue_capacity) {
     EngineConfig config;
     config.shards = 3;
-    config.queue_capacity = 32;
-    config.batch_records = batch_records;
+    config.queue_capacity = queue_capacity;
     config.backpressure = Backpressure::kBlock;
     config.collector.sampling_rate = 1;
     return run_engine(config, 90);
   };
 
-  const auto reference = run_with_batch(1);
+  const auto reference = run_with_queue(4);
   ASSERT_EQ(reference.size(), 90u);
-  EXPECT_EQ(reference, run_with_batch(5));
-  EXPECT_EQ(reference, run_with_batch(512));
+  EXPECT_EQ(reference, run_with_queue(20));
+  EXPECT_EQ(reference, run_with_queue(32));
 }
 
 TEST(Engine, FlowgenTraceConservesEveryStageAcrossBatchAndShards) {
   // A seeded IXP-SE trace with its BGP blackhole updates interleaved by
-  // export minute, through the whole stage graph at {batch 1, 256} x
-  // {shards 1, 2}: no stage may lose or invent an item, and every
-  // configuration must merge the same minutes.
+  // export minute, through the whole stage graph at {queue 4, 1024} (shard
+  // batches of 1 and 256 samples) x {shards 1, 2}: no stage may lose or
+  // invent an item, and every configuration must merge the same minutes.
   constexpr std::uint32_t kSampling = 4;
   flowgen::TrafficGenerator generator(flowgen::ixp_se(), 1337);
   const auto trace = generator.generate(0, 24);
@@ -147,14 +147,13 @@ TEST(Engine, FlowgenTraceConservesEveryStageAcrossBatchAndShards) {
 
   MinuteBatches reference;
   std::uint64_t reference_flows = 0;
-  for (const std::size_t batch_records : {std::size_t{1}, std::size_t{256}}) {
+  for (const std::size_t queue : {std::size_t{4}, std::size_t{1024}}) {
     for (const std::size_t shards : {std::size_t{1}, std::size_t{2}}) {
-      SCOPED_TRACE(testing::Message() << "batch=" << batch_records
+      SCOPED_TRACE(testing::Message() << "queue=" << queue
                                       << " shards=" << shards);
       EngineConfig config;
       config.shards = shards;
-      config.queue_capacity = 4096;
-      config.batch_records = batch_records;
+      config.queue_capacity = queue;
       config.backpressure = Backpressure::kBlock;
       config.collector.sampling_rate = kSampling;
       MinuteBatches out;
@@ -293,10 +292,28 @@ TEST(Engine, StatsSnapshotIsCallableMidRun) {
   EXPECT_EQ(engine.stats().datagrams, 5u);
 }
 
+TEST(Engine, PushedDatagramReachesDecodeWithoutFurtherInput) {
+  // An accepted datagram is the decode worker's at once: nothing holds it
+  // back until more input or finish() arrives, so at a paced arrival rate
+  // no datagram waits for the ones behind it.
+  EngineConfig config;
+  config.shards = 2;
+  config.collector.sampling_rate = 1;
+  Engine engine(config, nullptr);
+  ASSERT_TRUE(engine.push_wire(wire_at(0, 0xC0A80000)));
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (engine.stats().datagrams == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(engine.stats().datagrams, 1u);
+  engine.finish();
+}
+
 TEST(Engine, OneSlotPoolUnderBlockMatchesFullPool) {
   // Every push_wire(span) after the first finds the single slot still in
-  // the pending batch: the engine must flush that batch before waiting,
-  // or the producer would wait for a slot only it can release.
+  // flight: the producer must wait for the decode worker to recycle it.
   EngineConfig config;
   config.shards = 2;
   config.queue_capacity = 64;

@@ -81,13 +81,14 @@ MinuteBatches run_single(const std::vector<CaptureEvent>& events,
 /// The sharded multi-threaded pipeline over the same stream.
 MinuteBatches run_sharded(const std::vector<CaptureEvent>& events,
                           core::Collector::Config config, std::size_t shards,
-                          std::size_t batch_records = kDefaultBatchRecords) {
+                          std::size_t queue_capacity = 64) {
   MinuteBatches batches;
   ShardedCollectorConfig sharded_config;
   sharded_config.shards = shards;
   sharded_config.collector = config;
-  sharded_config.queue_capacity = 64;  // small: exercise ring wraparound
-  sharded_config.batch_records = batch_records;
+  // Small by default, to exercise ring wraparound; it also sets the shard
+  // batch (queue/4 samples).
+  sharded_config.queue_capacity = queue_capacity;
   ShardedCollector collector(
       sharded_config,
       [&](std::uint32_t minute, std::span<const net::FlowRecord> f) {
@@ -144,10 +145,10 @@ TEST(ShardedCollector, BitIdenticalToSingleCollectorAcrossShardCounts) {
 
 TEST(ShardedCollector, BitIdenticalAcrossBatchSizes) {
   // The batching layer only changes ring-transfer granularity; the merge
-  // must see the exact same per-shard sequences. batch=1 degenerates to
-  // the pre-batching single-record path, 3 forces mid-datagram batch cuts
-  // and ragged flushes, 64 (vs capacity 64) exercises the clamp to
-  // capacity/4.
+  // must see the exact same per-shard sequences. The queue bound sets the
+  // batch to queue/4 samples: queue 4 (batch 1) degenerates to the
+  // pre-batching single-record path, 12 (batch 3) forces mid-datagram
+  // batch cuts and ragged flushes, 64 gives batch 16.
   core::Collector::Config config;
   config.sampling_rate = 4;
   config.reorder_slack_min = 1;
@@ -155,10 +156,9 @@ TEST(ShardedCollector, BitIdenticalAcrossBatchSizes) {
   const MinuteBatches reference = run_single(events, config);
   ASSERT_FALSE(reference.empty());
 
-  for (const std::size_t batch_records : {1u, 3u, 64u}) {
+  for (const std::size_t queue : {4u, 12u, 64u}) {
     for (const std::size_t shards : {1u, 3u}) {
-      expect_identical(reference,
-                       run_sharded(events, config, shards, batch_records),
+      expect_identical(reference, run_sharded(events, config, shards, queue),
                        shards);
     }
   }

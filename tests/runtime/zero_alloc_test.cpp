@@ -1,14 +1,14 @@
 // Steady-state zero-allocation proof for the pooled wire ingest path.
 //
-// The tentpole claim of the zero-allocation ingest work is structural:
-// once every capacity is minted (pool slots, input batches, shard
-// messages, flow-cache tables), a datagram travels
+// The claim of the zero-allocation ingest work is structural: once every
+// capacity is minted (pool slots, shard messages, flow-cache tables), a
+// datagram travels
 //
 //   pooled slot → input ring → fused decode→route → shard ring → collect
 //
 // without a single heap allocation. This test makes the claim executable:
 // a counting global operator new observes the whole process, the engine is
-// warmed until every recycle ring is primed, and then a measured window of
+// warmed until every capacity is minted, and then a measured window of
 // pushes — slots filled by the caller and by the engine's copying
 // push_wire(span) entry alike — must leave the allocation counter exactly
 // where it was. A fifth of the corpus is malformed (truncations, an
@@ -172,13 +172,6 @@ void push_round(Engine& engine, WireBufferPool& pool,
                 bool copy) {
   for (const std::vector<std::uint8_t>& wire : corpus) {
     if (copy) {
-      // On a dry pool push_wire(span) hands its partial batch to the
-      // decode worker; batch boundaries would then stop falling on round
-      // boundaries and quiesce() would wait on slots parked in the
-      // engine's pending batch. So wait for a free slot first.
-      while (pool.in_use() >= pool.slots()) {
-        std::this_thread::yield();
-      }
       engine.push_wire(std::span<const std::uint8_t>(wire));
       continue;
     }
@@ -194,8 +187,7 @@ void push_round(Engine& engine, WireBufferPool& pool,
 
 /// Waits until every pooled slot has been recycled (the decode worker has
 /// walked and released every in-flight datagram), then a grace period for
-/// the shard workers to drain their rings. Needs the engine's pending
-/// batch to be empty: each round must end on a batch boundary.
+/// the shard workers to drain their rings.
 void quiesce(const WireBufferPool& pool) {
   while (pool.in_use() != 0) {
     std::this_thread::yield();
@@ -214,7 +206,6 @@ TEST(ZeroAlloc, SteadyStatePooledIngestDoesNotAllocate) {
   config.shards = 2;
   config.queue_capacity = 256;
   config.backpressure = Backpressure::kBlock;
-  config.batch_records = 8;
   config.wire_pool_slots = 32;
   config.wire_slot_bytes = 2048;
   config.collector.sampling_rate = 1;
@@ -228,10 +219,9 @@ TEST(ZeroAlloc, SteadyStatePooledIngestDoesNotAllocate) {
   ASSERT_NE(pool, nullptr);
 
   const Corpus corpus = make_corpus();
-  ASSERT_EQ(corpus.wire.size() % config.batch_records, 0u);
 
-  // Warm-up: mint every capacity — pool slots circulate, the batch and
-  // shard recycle rings fill with their steady-state fleets, the flow
+  // Warm-up: mint every capacity — pool slots circulate through the input
+  // ring, every shard message of each fleet carries batches, the flow
   // cache reaches its final table size for this key set.
   for (int round = 0; round < 8; ++round) {
     push_round(engine, *pool, corpus.wire, round % 2 == 1);

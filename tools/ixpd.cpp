@@ -3,7 +3,7 @@
 //
 //   ixpd --profile us2 --minutes 2880 --shards 4 [--seed 7]
 //        [--sampling 10] [--queue 4096] [--policy block|drop]
-//        [--batch 512] [--gen-threads N] [--train-threads N]
+//        [--gen-threads N] [--train-threads N]
 //        [--agg-threads N] [--simd auto|scalar|avx2]
 //        [--stats-every 240] [--warmup 1440] [--retrain 1440]
 //   ixpd --listen <port> [--bind 127.0.0.1] [--recv-batch 32]
@@ -51,26 +51,15 @@ namespace {
 using namespace scrubber;
 using tools::Args;
 
-flowgen::IxpProfile profile_by_name(const std::string& name) {
-  for (const auto& profile : flowgen::all_ixp_profiles()) {
-    std::string lowered = profile.name;  // "IXP-US1" -> accept "us1"
-    for (auto& c : lowered) c = static_cast<char>(std::tolower(c));
-    if (lowered == "ixp-" + name || lowered == name) return profile;
-  }
-  if (name == "sas") return flowgen::self_attack_profile();
-  throw std::runtime_error("unknown profile: " + name +
-                           " (use ce1/us1/se/us2/ce2/sas)");
-}
-
 int run(int argc, char** argv) {
   const Args args(argc, argv, 1,
                   {"profile", "minutes", "seed", "sampling", "gen-threads",  // trace
-                   "shards", "queue", "policy", "batch",                     // engine
+                   "shards", "queue", "policy",                              // engine
                    "warmup", "retrain", "min-flows", "train-threads",
                    "agg-threads", "simd",                                    // detector
                    "listen", "bind", "recv-batch", "idle-stop-ms",           // wire
                    "stats-every"});
-  const auto profile = profile_by_name(args.get("profile", "us2"));
+  const auto profile = flowgen::profile_by_name(args.get("profile", "us2"));
   const std::uint32_t minutes =
       static_cast<std::uint32_t>(args.number("minutes", 2880));
   const std::uint64_t seed = args.number("seed", 7);
@@ -109,8 +98,6 @@ int run(int argc, char** argv) {
     throw std::runtime_error("--policy must be block or drop");
   }
   engine_config.collector.sampling_rate = sampling;
-  engine_config.batch_records =
-      static_cast<std::size_t>(args.number("batch", runtime::kDefaultBatchRecords));
 
   core::LiveDetectorConfig detector_config;
   detector_config.warmup_min =
@@ -173,12 +160,11 @@ int run(int argc, char** argv) {
             ++next_update;
           }
         });
-    std::printf("ixpd: profile=%s minutes=%u shards=%zu queue=%zu batch=%zu "
+    std::printf("ixpd: profile=%s minutes=%u shards=%zu queue=%zu "
                 "policy=%s listen=%s:%u simd=%s seed=%llu\n",
                 profile.name.c_str(), minutes, engine_config.shards,
-                engine_config.queue_capacity, engine_config.batch_records,
-                policy.c_str(), listener_config.bind_address.c_str(),
-                listener.port(),
+                engine_config.queue_capacity, policy.c_str(),
+                listener_config.bind_address.c_str(), listener.port(),
                 util::simd_level_name(util::simd_level()),
                 static_cast<unsigned long long>(seed));
     std::fflush(stdout);
@@ -190,13 +176,12 @@ int run(int argc, char** argv) {
     if (!snapshot.fin_seen) engine.finish();  // idle timeout: drain anyway
     listener_summary = snapshot.summary();
   } else {
-    std::printf("ixpd: profile=%s minutes=%u shards=%zu queue=%zu batch=%zu "
+    std::printf("ixpd: profile=%s minutes=%u shards=%zu queue=%zu "
                 "policy=%s sampling=1/%u gen-threads=%u "
                 "train-threads=%u agg-threads=%u simd=%s seed=%llu\n",
                 profile.name.c_str(), minutes, engine_config.shards,
-                engine_config.queue_capacity, engine_config.batch_records,
-                policy.c_str(), sampling, gen_threads, train_threads,
-                detector_config.agg_threads,
+                engine_config.queue_capacity, policy.c_str(), sampling,
+                gen_threads, train_threads, detector_config.agg_threads,
                 util::simd_level_name(util::simd_level()),
                 static_cast<unsigned long long>(seed));
 

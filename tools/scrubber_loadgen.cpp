@@ -31,17 +31,6 @@ namespace {
 using namespace scrubber;
 using tools::Args;
 
-flowgen::IxpProfile profile_by_name(const std::string& name) {
-  for (const auto& profile : flowgen::all_ixp_profiles()) {
-    std::string lowered = profile.name;  // "IXP-US1" -> accept "us1"
-    for (auto& c : lowered) c = static_cast<char>(std::tolower(c));
-    if (lowered == "ixp-" + name || lowered == name) return profile;
-  }
-  if (name == "sas") return flowgen::self_attack_profile();
-  throw std::runtime_error("unknown profile: " + name +
-                           " (use ce1/us1/se/us2/ce2/sas)");
-}
-
 int run(int argc, char** argv) {
   const Args args(argc, argv, 1,
                   {"port", "host", "profile", "minutes", "seed", "sampling",
@@ -52,7 +41,7 @@ int run(int argc, char** argv) {
         "[--profile us2] [--minutes 120] [--seed 7] [--sampling 10] "
         "[--rate dgrams/s] [--schedule-seed 1] [--fin 3] [--gen-threads N]");
   }
-  const auto profile = profile_by_name(args.get("profile", "us2"));
+  const auto profile = flowgen::profile_by_name(args.get("profile", "us2"));
   const std::uint32_t minutes =
       static_cast<std::uint32_t>(args.number("minutes", 120));
   const std::uint64_t seed = args.number("seed", 7);

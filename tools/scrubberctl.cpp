@@ -30,17 +30,6 @@ namespace {
 using namespace scrubber;
 using tools::Args;
 
-flowgen::IxpProfile profile_by_name(const std::string& name) {
-  for (const auto& profile : flowgen::all_ixp_profiles()) {
-    std::string lowered = profile.name;  // "IXP-US1" -> accept "us1"
-    for (auto& c : lowered) c = static_cast<char>(std::tolower(c));
-    if (lowered == "ixp-" + name || lowered == name) return profile;
-  }
-  if (name == "sas") return flowgen::self_attack_profile();
-  throw std::runtime_error("unknown profile: " + name +
-                           " (use ce1/us1/se/us2/ce2/sas)");
-}
-
 std::vector<net::FlowRecord> read_flow_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) throw std::runtime_error("cannot open " + path);
@@ -84,7 +73,7 @@ int cmd_generate(int argc, char** argv) {
   const Args args(argc, argv, 2,
                   {"out", "profile", "seed", "minutes", "start", "balanced",
                    "ground-truth"});
-  const auto profile = profile_by_name(args.get("profile", "us1"));
+  const auto profile = flowgen::profile_by_name(args.get("profile", "us1"));
   const auto seed = args.number("seed", 42);
   const auto minutes = static_cast<std::uint32_t>(args.number("minutes", 1440));
   const auto start = static_cast<std::uint32_t>(args.number("start", 0));
