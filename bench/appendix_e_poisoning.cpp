@@ -166,6 +166,6 @@ int main() {
 
   std::printf(
       "\nmitigation (§6.6/App. E): operators pin WoEs of critical services "
-      "(e.g. WoE(tcp/443) := -5) — set_override() on the WoE column.\n");
+      "(e.g. WoE(tcp/443) := -5).\n");
   return 0;
 }

@@ -163,16 +163,6 @@ std::size_t RuleSet::merge(const RuleSet& other) {
   return added;
 }
 
-bool RuleSet::set_status(std::string_view id, RuleStatus status) {
-  for (auto& rule : rules_) {
-    if (rule.id == id) {
-      rule.status = status;
-      return true;
-    }
-  }
-  return false;
-}
-
 std::vector<std::uint32_t> RuleSet::matching_accepted(
     const net::FlowRecord& flow, const Itemizer& itemizer) const {
   const Transaction header = itemizer.itemize_header(flow);

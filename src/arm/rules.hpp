@@ -71,9 +71,6 @@ class RuleSet {
   }
   [[nodiscard]] std::vector<TaggingRule>& rules() noexcept { return rules_; }
 
-  /// Sets the status of the rule with `id`; returns false when not found.
-  bool set_status(std::string_view id, RuleStatus status);
-
   /// Ids of all *accepted* rules matching the flow (the tags preserved
   /// through aggregation). `itemizer` supplies the header itemization.
   [[nodiscard]] std::vector<std::uint32_t> matching_accepted(

@@ -15,7 +15,6 @@ void BlackholeRegistry::announce(const net::Ipv4Prefix& prefix,
   }
   intervals->push_back(BlackholeInterval{minute, BlackholeInterval::kOpenEnd,
                                          origin_as});
-  ++interval_count_;
 }
 
 void BlackholeRegistry::withdraw(const net::Ipv4Prefix& prefix,
@@ -45,33 +44,6 @@ bool BlackholeRegistry::is_blackholed(net::Ipv4Address ip,
     }
   }
   return false;
-}
-
-std::optional<net::Ipv4Prefix> BlackholeRegistry::covering_blackhole(
-    net::Ipv4Address ip, std::uint32_t minute) const {
-  std::optional<net::Ipv4Prefix> best;
-  for (const auto& [prefix, intervals] : trie_.match_all(ip)) {
-    for (const auto& interval : *intervals) {
-      if (interval.active_at(minute)) {
-        best = prefix;  // match_all yields least specific first
-        break;
-      }
-    }
-  }
-  return best;
-}
-
-std::size_t BlackholeRegistry::active_count(std::uint32_t minute) const {
-  std::size_t count = 0;
-  trie_.visit([&](const net::Ipv4Prefix&, const std::vector<BlackholeInterval>& v) {
-    for (const auto& interval : v) {
-      if (interval.active_at(minute)) {
-        ++count;
-        break;
-      }
-    }
-  });
-  return count;
 }
 
 }  // namespace scrubber::bgp

@@ -4,12 +4,10 @@
 // Flow labeling (§3 of the paper) asks, per sampled flow: "was the flow's
 // destination IP covered by an active blackhole route during the flow's
 // minute bin?". The registry stores announcement/withdrawal intervals per
-// prefix and answers that query, as well as per-minute active counts used
-// for Figure 3a-style analyses.
+// prefix and answers that query.
 
 #include <cstdint>
 #include <limits>
-#include <optional>
 #include <vector>
 
 #include "bgp/message.hpp"
@@ -51,24 +49,8 @@ class BlackholeRegistry {
   [[nodiscard]] bool is_blackholed(net::Ipv4Address ip,
                                    std::uint32_t minute) const;
 
-  /// Most specific blackhole prefix covering `ip` active at `minute`.
-  [[nodiscard]] std::optional<net::Ipv4Prefix> covering_blackhole(
-      net::Ipv4Address ip, std::uint32_t minute) const;
-
-  /// Number of blackhole prefixes active during `minute`.
-  [[nodiscard]] std::size_t active_count(std::uint32_t minute) const;
-
-  /// Total number of recorded announcement intervals.
-  [[nodiscard]] std::size_t interval_count() const noexcept {
-    return interval_count_;
-  }
-
-  /// Number of distinct prefixes ever blackholed.
-  [[nodiscard]] std::size_t prefix_count() const noexcept { return trie_.size(); }
-
  private:
   net::PrefixTrie<std::vector<BlackholeInterval>> trie_;
-  std::size_t interval_count_ = 0;
 };
 
 }  // namespace scrubber::bgp

@@ -85,7 +85,6 @@ class Reader {
     return net::Ipv4Prefix(net::Ipv4Address(addr), length);
   }
 
-  [[nodiscard]] std::size_t remaining() const noexcept { return size_ - pos_; }
   [[nodiscard]] bool done() const noexcept { return pos_ >= size_; }
 
   Reader sub(std::size_t length) {

@@ -78,17 +78,10 @@ class Collector {
   /// Flushes every open bin (end of capture).
   void flush();
 
-  [[nodiscard]] const bgp::BlackholeRegistry& registry() const noexcept {
-    return registry_;
-  }
-
   // --- statistics ---
   [[nodiscard]] std::uint64_t datagrams() const noexcept { return datagrams_; }
   [[nodiscard]] std::uint64_t flows_emitted() const noexcept {
     return flows_emitted_;
-  }
-  [[nodiscard]] std::uint64_t blackholed_flows() const noexcept {
-    return blackholed_flows_;
   }
   /// Datagrams dropped because their minute was already flushed.
   [[nodiscard]] std::uint64_t late_datagrams() const noexcept {
@@ -113,7 +106,6 @@ class Collector {
   bool in_flush_ = false;             ///< re-entrancy guard (sink contract)
   std::uint64_t datagrams_ = 0;
   std::uint64_t flows_emitted_ = 0;
-  std::uint64_t blackholed_flows_ = 0;
   std::uint64_t late_datagrams_ = 0;
 };
 

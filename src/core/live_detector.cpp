@@ -1,11 +1,20 @@
 #include "core/live_detector.hpp"
 
 namespace scrubber::core {
+namespace {
+
+// Threshold policy standing in for the operator's curation of mined
+// tagging rules (§5.1.1): accept a rule at confidence >= 0.9 (the bar of
+// the released rule list) with at least three antecedent items (a
+// deployable filter pins protocol + port + size, not just "UDP").
+constexpr double kRuleMinConfidence = 0.9;
+constexpr std::size_t kRuleMinItems = 3;
+
+}  // namespace
 
 LiveDetector::LiveDetector(LiveDetectorConfig config, DetectionSink sink)
     : config_(config), sink_(std::move(sink)) {
   ScrubberConfig scrubber_config;  // default model: the XGB pipeline
-  scrubber_config.mining = config_.mining;
   scrubber_config.seed = config_.seed;
   scrubber_config.agg_threads = config_.agg_threads;
   scrubber_ = IxpScrubber(scrubber_config);
@@ -36,8 +45,7 @@ void LiveDetector::retrain(std::uint32_t now_minute) {
   // deployment routes the staged rules through the operator UI instead of
   // the threshold policy (see RuleSet / Figure 6).
   auto rules = scrubber_.mine_tagging_rules(training);
-  accept_rules_above(rules, config_.rule_min_confidence, 0.0,
-                     config_.rule_min_items);
+  accept_rules_above(rules, kRuleMinConfidence, 0.0, kRuleMinItems);
   scrubber_.set_rules(std::move(rules));
 
   // Step 2: aggregate + train.

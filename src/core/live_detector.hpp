@@ -26,9 +26,6 @@ struct LiveDetectorConfig {
   std::uint32_t retrain_interval_min = 24 * 60;      ///< daily (paper §6.3)
   std::uint32_t training_window_min = 28 * 24 * 60;  ///< trailing month
   std::uint32_t warmup_min = 24 * 60;  ///< data collected before first training
-  double rule_min_confidence = 0.9;    ///< auto-acceptance bar for mined rules
-  std::size_t rule_min_items = 3;      ///< specificity bar for mined rules
-  arm::FpGrowthParams mining{};
   std::uint64_t seed = 77;
   /// Workers for the per-minute parallel feature build (0 = full training
   /// pool); output is bit-identical for any value.

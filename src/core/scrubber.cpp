@@ -1,6 +1,15 @@
 #include "core/scrubber.hpp"
 
 namespace scrubber::core {
+namespace {
+
+// Algorithm 1's loss bounds (Appendix A): a rule is dropped in favour of a
+// more specific one when it gains less than L_c in confidence and L_s in
+// support over it.
+constexpr double kRuleLossConfidence = 0.01;
+constexpr double kRuleLossSupport = 0.01;
+
+}  // namespace
 
 IxpScrubber::IxpScrubber(ScrubberConfig config)
     : config_(config), pipeline_(ml::make_model_pipeline(config.model)) {
@@ -25,8 +34,8 @@ arm::RuleSet IxpScrubber::mine_tagging_rules(
   const std::size_t blackhole_rules = mined.size();
 
   // Step ii: Algorithm 1 minimization.
-  mined = arm::minimize_rules(std::move(mined), config_.rule_loss_confidence,
-                              config_.rule_loss_support);
+  mined = arm::minimize_rules(std::move(mined), kRuleLossConfidence,
+                              kRuleLossSupport);
   if (counts != nullptr) *counts = {total_mined, blackhole_rules, mined.size()};
 
   return arm::RuleSet::from_mined(mined);
@@ -70,10 +79,6 @@ std::vector<int> rbc_predict(const AggregatedDataset& data) {
   for (const auto& meta : data.meta)
     out.push_back(meta.rule_tags.empty() ? 0 : 1);
   return out;
-}
-
-void accept_all_rules(arm::RuleSet& rules) {
-  for (auto& rule : rules.rules()) rule.status = arm::RuleStatus::kAccepted;
 }
 
 std::size_t accept_rules_above(arm::RuleSet& rules, double min_confidence,

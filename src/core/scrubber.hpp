@@ -28,8 +28,6 @@ namespace scrubber::core {
 struct ScrubberConfig {
   ml::ModelKind model = ml::ModelKind::kXgb;
   arm::FpGrowthParams mining{};       ///< FP-Growth thresholds (§5.1.1)
-  double rule_loss_confidence = 0.01; ///< Algorithm 1 L_c (Appendix A)
-  double rule_loss_support = 0.01;    ///< Algorithm 1 L_s
   std::uint64_t seed = 42;
   /// Workers for the parallel feature build (0 = full training pool);
   /// bit-identical output for any value.
@@ -108,10 +106,6 @@ class IxpScrubber {
 /// Rule-based classifier baseline (RBC, §5.2.2): predicts DDoS iff any
 /// accepted tagging rule matched the record's flows.
 [[nodiscard]] std::vector<int> rbc_predict(const AggregatedDataset& data);
-
-/// Accepts every staged rule of a set (scripted stand-in for the operator
-/// UI; the §5.1.3 operator study is modeled in bench_operator_study).
-void accept_all_rules(arm::RuleSet& rules);
 
 /// Threshold-policy operator: accepts staged rules with confidence >=
 /// `min_confidence` (the released rule list of Appendix F uses 0.9), at

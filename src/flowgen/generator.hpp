@@ -90,12 +90,6 @@ class TrafficGenerator {
                                         std::uint32_t minutes,
                                         Labeling labeling = Labeling::kBlackholeRegistry);
 
-  /// The blackhole registry of the most recent generate call (attack
-  /// schedule and announcements for the generated range).
-  [[nodiscard]] const bgp::BlackholeRegistry& registry() const noexcept {
-    return registry_;
-  }
-
   /// Attack events scheduled by the most recent generate call.
   [[nodiscard]] const std::vector<AttackEvent>& attacks() const noexcept {
     return attacks_;

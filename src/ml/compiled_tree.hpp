@@ -154,7 +154,6 @@ class CompiledTree {
   void predict_batch(std::span<const double> rows, std::size_t width,
                      std::span<double> out) const noexcept;
 
-  [[nodiscard]] std::size_t node_count() const noexcept { return nodes_.size(); }
   [[nodiscard]] bool empty() const noexcept { return nodes_.empty(); }
   [[nodiscard]] const std::vector<CompiledNode>& nodes() const noexcept {
     return nodes_;
@@ -210,7 +209,6 @@ class CompiledForest {
                    std::span<double> out) const noexcept;
 
   [[nodiscard]] std::size_t tree_count() const noexcept { return roots_.size(); }
-  [[nodiscard]] std::size_t node_count() const noexcept { return nodes_.size(); }
   [[nodiscard]] double base_margin() const noexcept { return base_margin_; }
   [[nodiscard]] double missing_surrogate() const noexcept { return missing_; }
 

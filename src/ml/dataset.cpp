@@ -6,13 +6,6 @@
 
 namespace scrubber::ml {
 
-std::size_t Dataset::column_index(std::string_view name) const {
-  for (std::size_t j = 0; j < columns_.size(); ++j) {
-    if (columns_[j].name == name) return j;
-  }
-  throw std::out_of_range("no such column: " + std::string(name));
-}
-
 void Dataset::add_row(std::span<const double> values, int label) {
   if (values.size() != n_cols())
     throw std::invalid_argument("row width does not match schema");
@@ -34,20 +27,6 @@ Dataset Dataset::subset(std::span<const std::size_t> indices) const {
     const auto r = row(i);
     out.data_.insert(out.data_.end(), r.begin(), r.end());
     out.labels_.push_back(labels_[i]);
-  }
-  return out;
-}
-
-Dataset Dataset::select_columns(
-    std::span<const std::size_t> column_indices) const {
-  std::vector<ColumnInfo> cols;
-  cols.reserve(column_indices.size());
-  for (const std::size_t j : column_indices) cols.push_back(columns_.at(j));
-  Dataset out(std::move(cols));
-  out.data_.reserve(n_rows() * column_indices.size());
-  out.labels_ = labels_;
-  for (std::size_t i = 0; i < n_rows(); ++i) {
-    for (const std::size_t j : column_indices) out.data_.push_back(at(i, j));
   }
   return out;
 }

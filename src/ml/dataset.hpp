@@ -55,9 +55,6 @@ class Dataset {
     return columns_.at(j);
   }
 
-  /// Index of the column with the given name; throws std::out_of_range.
-  [[nodiscard]] std::size_t column_index(std::string_view name) const;
-
   /// Appends a row; `values.size()` must equal n_cols().
   void add_row(std::span<const double> values, int label);
 
@@ -93,9 +90,6 @@ class Dataset {
 
   /// Copies the selected rows (in order) into a new dataset.
   [[nodiscard]] Dataset subset(std::span<const std::size_t> indices) const;
-
-  /// Copies the selected columns (in order) into a new dataset.
-  [[nodiscard]] Dataset select_columns(std::span<const std::size_t> column_indices) const;
 
   /// Shuffled train/test split; returns {train_indices, test_indices} with
   /// `train_fraction` of rows in train. Deterministic for a given rng.

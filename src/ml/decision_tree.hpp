@@ -37,9 +37,6 @@ class DecisionTree final : public Classifier {
     return std::make_unique<DecisionTree>(*this);
   }
 
-  /// Number of nodes after training (and pruning).
-  [[nodiscard]] std::size_t node_count() const noexcept { return nodes_.size(); }
-
   /// Maximum depth reached by any leaf.
   [[nodiscard]] std::size_t depth() const noexcept;
 
@@ -65,11 +62,6 @@ class DecisionTree final : public Classifier {
   void restore(std::vector<Node> nodes) {
     nodes_ = std::move(nodes);
     compiled_ = CompiledTree::compile(nodes_);
-  }
-
-  /// Flattened batch-inference form, rebuilt by fit()/restore().
-  [[nodiscard]] const CompiledTree& compiled() const noexcept {
-    return compiled_;
   }
 
  private:

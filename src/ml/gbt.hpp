@@ -103,11 +103,6 @@ class GradientBoostedTrees final : public Classifier {
   void restore(std::vector<Tree> trees, double base_margin, GbtParams params,
                std::vector<FeatureGain> importance);
 
-  /// Flattened batch-inference form, rebuilt by fit()/restore().
-  [[nodiscard]] const CompiledForest& compiled() const noexcept {
-    return compiled_;
-  }
-
  private:
   GbtParams params_;
   std::vector<Tree> trees_;

@@ -47,29 +47,7 @@ double fold_fbeta(const Dataset& data, const FoldIndices& fold_indices,
   return evaluate(test.labels(), predicted).f_beta(beta);
 }
 
-/// Mean F_beta over precomputed folds, cells fanned out over the
-/// training pool. Per-fold scores land in per-cell slots and sum in
-/// ascending fold order — the same float stream as a sequential loop,
-/// so the mean is bit-identical for any thread count.
-double score_folds(const Dataset& data, const FoldIndices& fold_indices,
-                   const std::function<Pipeline()>& factory, double beta) {
-  const std::size_t folds = fold_indices.size();
-  std::vector<double> fold_score(folds, 0.0);
-  util::training_pool().parallel_for(folds, [&](std::size_t f) {
-    fold_score[f] = fold_fbeta(data, fold_indices, f, factory, beta);
-  });
-  double total = 0.0;
-  for (const double score : fold_score) total += score;
-  return total / static_cast<double>(folds);
-}
-
 }  // namespace
-
-double cross_val_fbeta(const Dataset& data,
-                       const std::function<Pipeline()>& factory,
-                       std::size_t folds, util::Rng& rng, double beta) {
-  return score_folds(data, data.stratified_folds(folds, rng), factory, beta);
-}
 
 GridSearchResult grid_search(
     const Dataset& data, const std::vector<ParamPoint>& grid,

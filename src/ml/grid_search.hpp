@@ -35,9 +35,4 @@ struct GridSearchResult {
     const std::function<Pipeline(const ParamPoint&)>& factory, std::size_t folds,
     util::Rng& rng);
 
-/// Cross-validated score of a single pipeline configuration.
-[[nodiscard]] double cross_val_fbeta(
-    const Dataset& data, const std::function<Pipeline()>& factory,
-    std::size_t folds, util::Rng& rng, double beta = 0.5);
-
 }  // namespace scrubber::ml

@@ -59,36 +59,4 @@ double roc_auc(std::span<const int> truth, std::span<const double> scores) {
   return u / (static_cast<double>(positives) * static_cast<double>(negatives));
 }
 
-std::vector<ThresholdPoint> threshold_sweep(std::span<const int> truth,
-                                            std::span<const double> scores,
-                                            std::span<const double> thresholds) {
-  if (truth.size() != scores.size())
-    throw std::invalid_argument("truth/score size mismatch");
-  std::vector<ThresholdPoint> out;
-  out.reserve(thresholds.size());
-  for (const double threshold : thresholds) {
-    ThresholdPoint point;
-    point.threshold = threshold;
-    for (std::size_t i = 0; i < truth.size(); ++i)
-      point.cm.add(truth[i], scores[i] >= threshold ? 1 : 0);
-    out.push_back(point);
-  }
-  return out;
-}
-
-double best_fbeta_threshold(std::span<const int> truth,
-                            std::span<const double> scores,
-                            std::span<const double> thresholds, double beta) {
-  double best_threshold = 0.5;
-  double best_score = -1.0;
-  for (const auto& point : threshold_sweep(truth, scores, thresholds)) {
-    const double score = point.cm.f_beta(beta);
-    if (score > best_score) {
-      best_score = score;
-      best_threshold = point.threshold;
-    }
-  }
-  return best_threshold;
-}
-
 }  // namespace scrubber::ml

@@ -50,11 +50,6 @@ struct ConfusionMatrix {
   }
   /// Recall; alias of tpr().
   [[nodiscard]] double recall() const noexcept { return tpr(); }
-  /// Accuracy.
-  [[nodiscard]] double accuracy() const noexcept {
-    return total() == 0 ? 0.0
-                        : static_cast<double>(tp + tn) / static_cast<double>(total());
-  }
 
   /// F1 = tp / (tp + (fp + fn) / 2), the harmonic mean of precision/recall.
   [[nodiscard]] double f1() const noexcept { return f_beta(1.0); }
@@ -81,23 +76,5 @@ struct ConfusionMatrix {
 /// (Mann-Whitney U, tie-corrected). Returns 0.5 when a class is empty.
 [[nodiscard]] double roc_auc(std::span<const int> truth,
                              std::span<const double> scores);
-
-/// One point of a threshold sweep.
-struct ThresholdPoint {
-  double threshold = 0.5;
-  ConfusionMatrix cm;
-};
-
-/// Confusion matrices across score thresholds (ascending); useful for
-/// picking the operating point that maximizes F_beta.
-[[nodiscard]] std::vector<ThresholdPoint> threshold_sweep(
-    std::span<const int> truth, std::span<const double> scores,
-    std::span<const double> thresholds);
-
-/// The threshold from `thresholds` maximizing F_beta.
-[[nodiscard]] double best_fbeta_threshold(std::span<const int> truth,
-                                          std::span<const double> scores,
-                                          std::span<const double> thresholds,
-                                          double beta = 0.5);
 
 }  // namespace scrubber::ml

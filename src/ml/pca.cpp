@@ -152,11 +152,4 @@ double Pca::explained_variance(std::size_t k) const noexcept {
   return top / total;
 }
 
-std::vector<double> Pca::explained_variance_curve() const {
-  std::vector<double> curve(eigenvalues_.size(), 0.0);
-  for (std::size_t i = 0; i < eigenvalues_.size(); ++i)
-    curve[i] = explained_variance(i + 1);
-  return curve;
-}
-
 }  // namespace scrubber::ml

@@ -45,9 +45,6 @@ class Pca final : public Transformer {
   /// Fraction of total variance explained by the first k components.
   [[nodiscard]] double explained_variance(std::size_t k) const noexcept;
 
-  /// Cumulative explained-variance curve (index i = first i+1 components).
-  [[nodiscard]] std::vector<double> explained_variance_curve() const;
-
   [[nodiscard]] std::size_t components() const noexcept { return components_; }
   [[nodiscard]] std::size_t input_width() const noexcept { return input_width_; }
   [[nodiscard]] const std::vector<double>& means() const noexcept { return mean_; }

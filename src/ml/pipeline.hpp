@@ -76,9 +76,6 @@ class Pipeline {
 
   [[nodiscard]] Classifier& classifier() { return *classifier_; }
   [[nodiscard]] const Classifier& classifier() const { return *classifier_; }
-  [[nodiscard]] bool has_classifier() const noexcept {
-    return classifier_ != nullptr;
-  }
 
   /// Deep copy of the whole pipeline (stages + classifier).
   [[nodiscard]] Pipeline clone() const;

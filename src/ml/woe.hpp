@@ -10,8 +10,7 @@
 // (IPs, ports, member MACs) into one informative real value, (ii) carries
 // the long-term memory of suspicious reflectors/ports, and (iii) separates
 // *local* knowledge from the classifier, enabling model transfer between
-// IXPs (§6.4). Operators can override individual encodings (white-/black-
-// listing, §6.6 and Appendix E) via set_override().
+// IXPs (§6.4).
 
 #include <cstdint>
 #include <optional>
@@ -57,10 +56,6 @@ class WoeColumn {
     const double* woe = woe_.find(value);
     return woe == nullptr ? 0.0 : *woe;
   }
-
-  /// Operator override: pins a value to a fixed WoE (e.g. whitelist HTTP
-  /// with a negative score, blacklist a reflector with a positive one).
-  void set_override(std::int64_t value, double woe) { woe_[value] = woe; }
 
   /// Values with WoE strictly above `threshold` (e.g. >1.0 for reflectors).
   [[nodiscard]] std::vector<std::int64_t> values_above(double threshold) const;

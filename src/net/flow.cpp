@@ -84,16 +84,4 @@ std::vector<FlowRecord> read_flows(std::istream& in) {
   return flows;
 }
 
-void write_flows_csv(std::ostream& out, const std::vector<FlowRecord>& flows) {
-  out << "minute,src_ip,dst_ip,src_port,dst_port,protocol,tcp_flags,"
-         "src_member,packets,bytes,blackholed\n";
-  for (const auto& f : flows) {
-    out << f.minute << ',' << f.src_ip.to_string() << ',' << f.dst_ip.to_string()
-        << ',' << f.src_port << ',' << f.dst_port << ','
-        << static_cast<int>(f.protocol) << ',' << static_cast<int>(f.tcp_flags)
-        << ',' << f.src_member << ',' << f.packets << ',' << f.bytes << ','
-        << (f.blackholed ? 1 : 0) << '\n';
-  }
-}
-
 }  // namespace scrubber::net

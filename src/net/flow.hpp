@@ -57,7 +57,4 @@ void write_flows(std::ostream& out, const std::vector<FlowRecord>& flows);
 /// malformed input.
 [[nodiscard]] std::vector<FlowRecord> read_flows(std::istream& in);
 
-/// Writes a CSV header + rows (for offline inspection with other tools).
-void write_flows_csv(std::ostream& out, const std::vector<FlowRecord>& flows);
-
 }  // namespace scrubber::net

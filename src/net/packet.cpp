@@ -1,36 +1,6 @@
 #include "net/packet.hpp"
 
-#include <limits>
-
-#include "util/rng.hpp"
-
 namespace scrubber::net {
-
-PacketSampler::PacketSampler(std::uint32_t rate, std::uint64_t seed)
-    : rate_(rate == 0 ? 1 : rate), state_(seed ^ 0x5A11'7E57ULL) {
-  roll_skip();
-}
-
-void PacketSampler::roll_skip() noexcept {
-  if (rate_ == 1) {
-    skip_ = 0;
-    return;
-  }
-  // Uniform skip in [0, 2*rate) yields a mean inter-sample gap of `rate`,
-  // the classic sFlow agent behavior.
-  skip_ = util::splitmix64(state_) % (2ULL * rate_);
-}
-
-bool PacketSampler::sample() noexcept {
-  ++seen_;
-  if (skip_ > 0) {
-    --skip_;
-    return false;
-  }
-  ++sampled_;
-  roll_skip();
-  return true;
-}
 
 void FlowCache::add(const PacketHeader& packet) {
   FlowKey key;
@@ -78,10 +48,6 @@ std::vector<FlowRecord> FlowCache::drain_before(std::uint32_t minute) {
         out.push_back(to_record(key, counters));
       });
   return out;
-}
-
-std::vector<FlowRecord> FlowCache::drain_all() {
-  return drain_before(std::numeric_limits<std::uint32_t>::max());
 }
 
 }  // namespace scrubber::net

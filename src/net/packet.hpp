@@ -5,9 +5,9 @@
 // At a real IXP the monitoring fabric samples 1-in-N packets (sFlow) and
 // a collector aggregates the sampled headers into per-minute flow records
 // — the exact input format of the scrubber pipeline. This module models
-// that path: PacketHeader (the L2-4 header subset sFlow exports),
-// PacketSampler (deterministic 1-in-N with scaling), and FlowCache
-// (keyed aggregation with minute binning).
+// that path: PacketHeader (the L2-4 header subset sFlow exports) and
+// FlowCache (keyed aggregation with minute binning, scaled by the
+// sampling rate).
 
 #include <cstdint>
 #include <functional>
@@ -59,33 +59,6 @@ struct FlowKeyHash {
   }
 };
 
-/// Deterministic 1-in-N packet sampler. Real sFlow agents sample with a
-/// pseudo-random skip so bursts are not aliased; this sampler draws the
-/// skip from a seeded generator, making traces reproducible.
-class PacketSampler {
- public:
-  /// `rate` = N of 1-in-N sampling (1 = keep everything).
-  explicit PacketSampler(std::uint32_t rate, std::uint64_t seed = 1);
-
-  /// Returns true when this packet is sampled.
-  [[nodiscard]] bool sample() noexcept;
-
-  [[nodiscard]] std::uint32_t rate() const noexcept { return rate_; }
-
-  /// Packets seen / packets sampled so far.
-  [[nodiscard]] std::uint64_t seen() const noexcept { return seen_; }
-  [[nodiscard]] std::uint64_t sampled() const noexcept { return sampled_; }
-
- private:
-  void roll_skip() noexcept;
-
-  std::uint32_t rate_;
-  std::uint64_t state_;
-  std::uint64_t skip_ = 0;
-  std::uint64_t seen_ = 0;
-  std::uint64_t sampled_ = 0;
-};
-
 /// Collector-side aggregation of sampled packet headers into per-minute
 /// FlowRecords. Counters are scaled by the sampling rate (standard sFlow
 /// estimation: each sampled packet represents `rate` packets).
@@ -108,11 +81,6 @@ class FlowCache {
   /// the cache (call as time advances; sorted by minute then key order
   /// is unspecified but deterministic for a given insertion order).
   [[nodiscard]] std::vector<FlowRecord> drain_before(std::uint32_t minute);
-
-  /// Flushes everything remaining.
-  [[nodiscard]] std::vector<FlowRecord> drain_all();
-
-  [[nodiscard]] std::size_t active_flows() const noexcept { return cache_.size(); }
 
  private:
   struct Counters {

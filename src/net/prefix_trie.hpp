@@ -68,26 +68,6 @@ class PrefixTrie {
     return best;
   }
 
-  /// Longest-prefix-match returning the matched prefix alongside the value.
-  [[nodiscard]] std::optional<std::pair<Ipv4Prefix, T>> match_entry(
-      Ipv4Address ip) const {
-    const Node* node = root_.get();
-    std::optional<std::pair<Ipv4Prefix, T>> best;
-    if (node->value) best = {Ipv4Prefix(Ipv4Address(0), 0), *node->value};
-    const std::uint32_t bits = ip.value();
-    std::uint32_t accum = 0;
-    for (int depth = 0; depth < 32 && node != nullptr; ++depth) {
-      const std::uint32_t bit = (bits >> (31 - depth)) & 1;
-      accum |= bit << (31 - depth);
-      node = node->child[bit].get();
-      if (node != nullptr && node->value) {
-        best = {Ipv4Prefix(Ipv4Address(accum), static_cast<std::uint8_t>(depth + 1)),
-                *node->value};
-      }
-    }
-    return best;
-  }
-
   /// All entries whose prefix covers `ip`, least specific first.
   [[nodiscard]] std::vector<std::pair<Ipv4Prefix, const T*>> match_all(
       Ipv4Address ip) const {

@@ -116,11 +116,6 @@ std::optional<DdosVector> classify_vector(std::uint8_t protocol,
   return std::nullopt;
 }
 
-bool is_well_known_ddos_port(std::uint8_t protocol, std::uint16_t src_port,
-                             std::uint16_t dst_port) noexcept {
-  return classify_vector(protocol, src_port, dst_port).has_value();
-}
-
 std::span<const DdosVector> top7_vectors() noexcept { return kTop7; }
 
 }  // namespace scrubber::net

@@ -18,10 +18,6 @@ enum class Protocol : std::uint8_t {
   kGre = 47,
 };
 
-[[nodiscard]] constexpr std::uint8_t to_number(Protocol p) noexcept {
-  return static_cast<std::uint8_t>(p);
-}
-
 /// Returns a short protocol name ("TCP", "UDP", ...) or "P<n>".
 [[nodiscard]] std::string_view protocol_name(std::uint8_t protocol) noexcept;
 
@@ -73,11 +69,6 @@ struct VectorSignature {
 /// (sampled non-initial fragments carry no L4 header).
 [[nodiscard]] std::optional<DdosVector> classify_vector(
     std::uint8_t protocol, std::uint16_t src_port, std::uint16_t dst_port) noexcept;
-
-/// True when the header matches any well-known DDoS service signature.
-[[nodiscard]] bool is_well_known_ddos_port(std::uint8_t protocol,
-                                           std::uint16_t src_port,
-                                           std::uint16_t dst_port) noexcept;
 
 /// The "top 7" vectors reported per-vector in Table 3.
 [[nodiscard]] std::span<const DdosVector> top7_vectors() noexcept;

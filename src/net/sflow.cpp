@@ -109,18 +109,4 @@ std::vector<std::uint8_t> SflowDatagram::encode() const {
   return w.take();
 }
 
-const char* decode_status_name(DecodeStatus status) noexcept {
-  switch (status) {
-    case DecodeStatus::kOk: return "ok";
-    case DecodeStatus::kTruncated: return "truncated";
-    case DecodeStatus::kBadVersion: return "bad-version";
-    case DecodeStatus::kBadAddressFamily: return "bad-address-family";
-    case DecodeStatus::kBadHeaderProtocol: return "bad-header-protocol";
-    case DecodeStatus::kShortHeaderClip: return "short-header-clip";
-    case DecodeStatus::kNotEthernetIpv4: return "not-ethernet-ipv4";
-    case DecodeStatus::kNotIpv4: return "not-ipv4";
-  }
-  return "unknown";
-}
-
 }  // namespace scrubber::net

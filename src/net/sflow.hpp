@@ -75,9 +75,6 @@ enum class DecodeStatus : std::uint8_t {
   kNotIpv4,            ///< oracle: "not an IPv4 header"
 };
 
-/// Human-readable name (bench/test reporting).
-[[nodiscard]] const char* decode_status_name(DecodeStatus status) noexcept;
-
 /// The datagram header fields, decoded in place (no sample storage).
 struct SflowHeaderView {
   Ipv4Address agent;

@@ -48,19 +48,6 @@ class Arena {
   void reset() noexcept {
     current_ = 0;
     offset_ = 0;
-    used_ = 0;
-  }
-
-  /// Bytes handed out since the last reset.
-  [[nodiscard]] std::size_t bytes_used() const noexcept { return used_; }
-  /// Total capacity across all retained blocks.
-  [[nodiscard]] std::size_t bytes_reserved() const noexcept {
-    std::size_t total = 0;
-    for (const Block& block : blocks_) total += block.size;
-    return total;
-  }
-  [[nodiscard]] std::size_t block_count() const noexcept {
-    return blocks_.size();
   }
 
  private:
@@ -81,7 +68,6 @@ class Arena {
             (offset_ + align - 1) & ~(align - 1);
         if (aligned + bytes <= block.size) {
           offset_ = aligned + bytes;
-          used_ += bytes;
           return block.data.get() + aligned;
         }
         // Current block exhausted: advance (a retained later block may
@@ -102,7 +88,6 @@ class Arena {
   std::vector<Block> blocks_;
   std::size_t current_ = 0;          ///< block being bumped
   std::size_t offset_ = 0;           ///< bump offset in current block
-  std::size_t used_ = 0;             ///< bytes since construction
   std::size_t next_block_bytes_;     ///< size of the next new block
 };
 

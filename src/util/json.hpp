@@ -49,21 +49,6 @@ class Json {
   [[nodiscard]] bool is_null() const noexcept {
     return std::holds_alternative<std::nullptr_t>(value_);
   }
-  [[nodiscard]] bool is_bool() const noexcept {
-    return std::holds_alternative<bool>(value_);
-  }
-  [[nodiscard]] bool is_number() const noexcept {
-    return std::holds_alternative<double>(value_);
-  }
-  [[nodiscard]] bool is_string() const noexcept {
-    return std::holds_alternative<std::string>(value_);
-  }
-  [[nodiscard]] bool is_array() const noexcept {
-    return std::holds_alternative<JsonArray>(value_);
-  }
-  [[nodiscard]] bool is_object() const noexcept {
-    return std::holds_alternative<JsonObject>(value_);
-  }
 
   /// Typed accessors; throw JsonError on type mismatch.
   [[nodiscard]] bool as_bool() const;

@@ -75,8 +75,4 @@ void set_simd_override(SimdLevel level) noexcept {
   g_override.store(static_cast<int>(level), std::memory_order_relaxed);
 }
 
-void clear_simd_override() noexcept {
-  g_override.store(-1, std::memory_order_relaxed);
-}
-
 }  // namespace scrubber::util

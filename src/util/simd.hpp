@@ -54,7 +54,4 @@ enum class SimdLevel : std::uint8_t { kScalar = 0, kAvx2 = 1 };
 /// intended for benches and tests, not for per-call toggling.
 void set_simd_override(SimdLevel level) noexcept;
 
-/// Restores automatic (detected) dispatch.
-void clear_simd_override() noexcept;
-
 }  // namespace scrubber::util

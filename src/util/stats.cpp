@@ -91,23 +91,4 @@ std::vector<double> ecdf_points(std::span<const double> values) {
   return sorted;
 }
 
-void Accumulator::add(double value) noexcept {
-  ++n_;
-  sum_ += value;
-  if (n_ == 1) {
-    mean_ = value;
-    min_ = value;
-    max_ = value;
-    m2_ = 0.0;
-    return;
-  }
-  const double delta = value - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (value - mean_);
-  min_ = std::min(min_, value);
-  max_ = std::max(max_, value);
-}
-
-double Accumulator::stddev() const noexcept { return std::sqrt(variance()); }
-
 }  // namespace scrubber::util

@@ -38,9 +38,6 @@ class Stopwatch {
     return std::chrono::duration<double>(clock::now() - start_).count();
   }
 
-  /// Elapsed time in milliseconds.
-  [[nodiscard]] double millis() const noexcept { return seconds() * 1e3; }
-
  private:
   using clock = std::chrono::steady_clock;
   clock::time_point start_;

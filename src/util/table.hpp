@@ -20,8 +20,6 @@ class TextTable {
   /// Renders the table with column alignment and a header separator.
   [[nodiscard]] std::string render() const;
 
-  [[nodiscard]] std::size_t row_count() const noexcept { return rows_.size(); }
-
  private:
   std::vector<std::string> header_;
   std::vector<std::vector<std::string>> rows_;

@@ -19,13 +19,6 @@
 //     equals the sequential left fold for any associative-with-left-bias
 //     merge (e.g. strict `>` argmax keeping the earliest maximum) — for
 //     ANY chunk partition, hence for any thread count.
-//   * parallel_reduce — fixed-grain chunking: the chunk boundaries
-//     depend only on (n, grain), never on the thread count, and the
-//     partials are combined by a fixed-shape binary tree in index order.
-//     Floating-point sums are therefore bit-identical for any thread
-//     count (they differ from a sequential left-fold sum, which is why
-//     call sites that must preserve the historical sequential stream sum
-//     per-chunk partials in ascending order instead).
 //
 // Nesting: a parallel region entered from inside another parallel region
 // (e.g. GBT histogram building inside a grid-search cell) runs inline on
@@ -144,32 +137,6 @@ class ThreadPool {
         max_chunks);
   }
 
-  /// Deterministic reduction: partials over fixed-grain chunks (boundaries
-  /// depend only on n and grain), combined by a fixed-shape binary tree in
-  /// chunk-index order. Bit-identical for any thread count.
-  ///   map(begin, end) -> T   partial over one chunk (scan ascending)
-  ///   combine(T, T)   -> T
-  template <typename T, typename Map, typename Combine>
-  [[nodiscard]] T parallel_reduce(std::size_t n, std::size_t grain, T identity,
-                                  Map&& map, Combine&& combine) {
-    if (n == 0) return identity;
-    if (grain == 0) grain = 1;
-    const std::size_t k = (n + grain - 1) / grain;
-    std::vector<T> partials(k, identity);
-    parallel_for(k, [&](std::size_t c) {
-      const std::size_t begin = c * grain;
-      const std::size_t end = std::min(n, begin + grain);
-      partials[c] = map(begin, end);
-    });
-    // Fixed-shape tree: pair (i, i+width) in index order, doubling width.
-    for (std::size_t width = 1; width < k; width *= 2) {
-      for (std::size_t i = 0; i + width < k; i += 2 * width) {
-        partials[i] = combine(partials[i], partials[i + width]);
-      }
-    }
-    return combine(identity, partials[0]);
-  }
-
  private:
   struct Job {
     std::size_t chunks = 0;
@@ -282,8 +249,5 @@ inline unsigned set_training_threads(unsigned threads) {
   state.pool = std::make_unique<ThreadPool>(threads);
   return state.pool->thread_count();
 }
-
-/// Effective thread count of the training pool (builds it if needed).
-inline unsigned training_threads() { return training_pool().thread_count(); }
 
 }  // namespace scrubber::util

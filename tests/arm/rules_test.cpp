@@ -179,15 +179,6 @@ TEST(RuleSet, MergeKeepsExistingCuration) {
   EXPECT_EQ(curated.rules()[0].note, "NTP reflection");
 }
 
-TEST(RuleSet, SetStatusById) {
-  RuleSet set = RuleSet::from_mined(
-      {make_rule({item(Attribute::kSrcPort, 123)}, 0.9, 0.1)});
-  const std::string id = set.rules()[0].id;
-  EXPECT_TRUE(set.set_status(id, RuleStatus::kAccepted));
-  EXPECT_EQ(set.rules()[0].status, RuleStatus::kAccepted);
-  EXPECT_FALSE(set.set_status("ffffffff", RuleStatus::kDeclined));
-}
-
 TEST(RuleSet, MatchingAcceptedOnly) {
   const Itemizer itemizer;
   RuleSet set = RuleSet::from_mined(

@@ -5,6 +5,9 @@
 #include <algorithm>
 #include <cmath>
 #include <set>
+#include <stdexcept>
+#include <string>
+#include <string_view>
 
 namespace scrubber::core {
 namespace {
@@ -25,6 +28,15 @@ net::FlowRecord make_flow(std::uint32_t minute, std::uint32_t dst,
   f.blackholed = blackholed;
   f.src_member = src % 16;
   return f;
+}
+
+/// Index of the column called `name`.
+std::size_t column(const ml::Dataset& data, std::string_view name) {
+  const auto& cols = data.columns();
+  const auto it = std::find_if(cols.begin(), cols.end(),
+                               [name](const auto& c) { return c.name == name; });
+  if (it == cols.end()) throw std::out_of_range(std::string(name));
+  return static_cast<std::size_t>(it - cols.begin());
 }
 
 TEST(AggregatorSchema, Has150FeatureColumns) {
@@ -73,9 +85,9 @@ TEST(Aggregator, RanksSourcePortsByBytes) {
   };
   const auto agg = aggregator.aggregate(flows);
   const auto& data = agg.data;
-  const std::size_t rank0 = data.column_index("port_src/bytes/0");
-  const std::size_t rank0_val = data.column_index("port_src/bytes/0/val");
-  const std::size_t rank1 = data.column_index("port_src/bytes/1");
+  const std::size_t rank0 = column(data, "port_src/bytes/0");
+  const std::size_t rank0_val = column(data, "port_src/bytes/0/val");
+  const std::size_t rank1 = column(data, "port_src/bytes/1");
   EXPECT_DOUBLE_EQ(data.at(0, rank0), 123.0);
   EXPECT_DOUBLE_EQ(data.at(0, rank0_val), 3000.0);
   EXPECT_DOUBLE_EQ(data.at(0, rank1), 53.0);
@@ -89,7 +101,7 @@ TEST(Aggregator, MeanPacketSizeMetricIsWeighted) {
       make_flow(0, 100, 1, 123, 500, 3),
   };
   const auto agg = aggregator.aggregate(flows);
-  const std::size_t col = agg.data.column_index("src_ip/pktsize/0/val");
+  const std::size_t col = column(agg.data, "src_ip/pktsize/0/val");
   EXPECT_DOUBLE_EQ(agg.data.at(0, col), 300.0);
 }
 
@@ -98,8 +110,8 @@ TEST(Aggregator, MissingRanksAreNaN) {
   std::vector<net::FlowRecord> flows{make_flow(0, 100, 1, 123, 500, 1)};
   const auto agg = aggregator.aggregate(flows);
   // Only one distinct source port: ranks 1..4 missing.
-  const std::size_t rank1 = agg.data.column_index("port_src/bytes/1");
-  const std::size_t rank4 = agg.data.column_index("port_src/bytes/4");
+  const std::size_t rank1 = column(agg.data, "port_src/bytes/1");
+  const std::size_t rank4 = column(agg.data, "port_src/bytes/4");
   EXPECT_TRUE(ml::is_missing(agg.data.at(0, rank1)));
   EXPECT_TRUE(ml::is_missing(agg.data.at(0, rank4)));
 }

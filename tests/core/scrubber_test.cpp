@@ -143,14 +143,5 @@ TEST(AcceptRules, ThresholdPolicy) {
   EXPECT_EQ(rules.rules()[1].status, arm::RuleStatus::kDeclined);
 }
 
-TEST(AcceptRules, AcceptAll) {
-  arm::MinedRule rule;
-  rule.antecedent = {arm::Item(arm::Attribute::kSrcPort, 123)};
-  rule.consequent = arm::kBlackholeItem;
-  arm::RuleSet rules = arm::RuleSet::from_mined({rule});
-  accept_all_rules(rules);
-  EXPECT_EQ(rules.rules()[0].status, arm::RuleStatus::kAccepted);
-}
-
 }  // namespace
 }  // namespace scrubber::core

@@ -1,5 +1,7 @@
 #include "flowgen/generator.hpp"
 
+#include "bgp/blackhole_registry.hpp"
+
 #include <gtest/gtest.h>
 
 #include <set>
@@ -190,12 +192,19 @@ TEST(Generator, UpdatesDriveRegistry) {
     const auto decoded = bgp::UpdateMessage::decode(update.encode());
     EXPECT_EQ(decoded, update);
   }
-  // Registry must contain at least one interval per announced attack
-  // (spurious blackholes add more; repeat victims may merge intervals).
+  // A registry fed these updates has every announcing attack's victim
+  // blackholed at its announcement minute.
+  bgp::BlackholeRegistry registry;
+  for (const auto& [minute, update] : gen.updates()) {
+    registry.apply(update, minute);
+  }
   std::size_t announced = 0;
-  for (const auto& attack : gen.attacks()) announced += attack.announces_blackhole;
+  for (const auto& attack : gen.attacks()) {
+    if (!attack.announces_blackhole) continue;
+    ++announced;
+    EXPECT_TRUE(registry.is_blackholed(attack.victim, attack.announce_minute));
+  }
   EXPECT_GT(announced, 0u);
-  EXPECT_GT(gen.registry().interval_count(), announced / 2);
 }
 
 TEST(Generator, AttackVectorsFollowPrevalence) {

@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <stdexcept>
+#include <string>
+#include <string_view>
 #include <unordered_set>
 
 #include "core/aggregator.hpp"
@@ -22,6 +26,15 @@ class AllProfiles : public ::testing::TestWithParam<ProfileCase> {
  protected:
   static constexpr std::uint64_t kSeed = 2024;
 };
+
+/// Index of the column called `name`.
+std::size_t column(const ml::Dataset& data, std::string_view name) {
+  const auto& cols = data.columns();
+  const auto it = std::find_if(cols.begin(), cols.end(),
+                               [name](const auto& c) { return c.name == name; });
+  if (it == cols.end()) throw std::out_of_range(std::string(name));
+  return static_cast<std::size_t>(it - cols.begin());
+}
 
 TEST_P(AllProfiles, RawTraceInvariants) {
   flowgen::TrafficGenerator gen(GetParam().profile, kSeed);
@@ -42,9 +55,12 @@ TEST_P(AllProfiles, RawTraceInvariants) {
 TEST_P(AllProfiles, LabelsConsistentWithRegistry) {
   flowgen::TrafficGenerator gen(GetParam().profile, kSeed);
   const auto trace = gen.generate(0, GetParam().minutes);
+  bgp::BlackholeRegistry registry;
+  for (const auto& [minute, update] : trace.updates) {
+    registry.apply(update, minute);
+  }
   for (const auto& flow : trace.flows) {
-    EXPECT_EQ(flow.blackholed,
-              gen.registry().is_blackholed(flow.dst_ip, flow.minute));
+    EXPECT_EQ(flow.blackholed, registry.is_blackholed(flow.dst_ip, flow.minute));
   }
 }
 
@@ -94,9 +110,9 @@ TEST_P(AllProfiles, AggregatorInvariants) {
 
   // Ranking metric columns are non-increasing across ranks.
   const auto& data = aggregated.data;
-  const std::size_t c0 = data.column_index("port_src/bytes/0/val");
-  const std::size_t c1 = data.column_index("port_src/bytes/1/val");
-  const std::size_t c2 = data.column_index("port_src/bytes/2/val");
+  const std::size_t c0 = column(data, "port_src/bytes/0/val");
+  const std::size_t c1 = column(data, "port_src/bytes/1/val");
+  const std::size_t c2 = column(data, "port_src/bytes/2/val");
   for (std::size_t i = 0; i < data.n_rows(); ++i) {
     const double v0 = data.at(i, c0);
     const double v1 = data.at(i, c1);

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -369,6 +370,81 @@ TEST(LintRules, UsedSuppressionIsNotStale) {
   Sink kept;
   apply_suppressions(index, std::move(raw), UsedSuppressions{}, kept);
   EXPECT_TRUE(kept.empty());
+}
+
+// ---------------------------------------------------------- unreferenced
+
+using Sources = std::vector<std::pair<std::string, std::string>>;
+
+/// scrubber-unreferenced findings over `sources`, with `reference_only`
+/// lexed as reference-only roots (examples/, bench_e2e/).
+Sink unreferenced_diags(const Sources& sources,
+                        const Sources& reference_only = {}) {
+  std::vector<LexedFile> references;
+  for (const auto& [path, text] : reference_only) {
+    references.push_back(lex(path, text));
+  }
+  Sink sink;
+  scrubber::lint::rule_unreferenced(index_of(sources), references, sink);
+  return sink;
+}
+
+TEST(LintUnreferenced, OverrideOfACalledBaseIsUsed) {
+  const Sink diags = unreferenced_diags(
+      {{"src/core/sink.hpp",
+        "#pragma once\n"
+        "struct Base { virtual void emit() = 0; };\n"
+        "struct Impl : Base { void emit() override {} };\n"
+        "void run(Base& base) { base.emit(); }\n"},
+       {"tools/main.cpp", "int main() { Impl impl; run(impl); }\n"}});
+  EXPECT_TRUE(diags.empty()) << diags.front().message;
+}
+
+TEST(LintUnreferenced, AddressTakenFunctionIsUsed) {
+  const Sink diags = unreferenced_diags(
+      {{"src/util/a.cpp", "int twice(int v) { return 2 * v; }\n"},
+       {"tools/main.cpp", "int main() { auto* f = &twice; return f(1); }\n"}});
+  EXPECT_TRUE(diags.empty()) << diags.front().message;
+}
+
+TEST(LintUnreferenced, NameInAMacroBodyIsUsed) {
+  const Sink diags = unreferenced_diags(
+      {{"src/util/check.hpp",
+        "#pragma once\n"
+        "void checked_fail(const char* what) {}\n"
+        "#define CHECK(x) ((x) ? (void)0 : checked_fail(#x))\n"}});
+  EXPECT_TRUE(diags.empty()) << diags.front().message;
+}
+
+TEST(LintUnreferenced, ReferenceOnlyRootCountsAsUse) {
+  const Sources src = {{"src/core/a.cpp", "int setup_seconds() { return 1; }\n"}};
+  EXPECT_EQ(unreferenced_diags(src).size(), 1u);
+  EXPECT_TRUE(unreferenced_diags(
+                  src, {{"bench_e2e/main.cpp",
+                         "int main() { return setup_seconds(); }\n"}})
+                  .empty());
+}
+
+TEST(LintUnreferenced, RecursionDeclarationsAndTestCallsAreNotUses) {
+  const Sink diags = unreferenced_diags(
+      {{"src/core/a.hpp", "#pragma once\nint helper();\nclass Lonely;\n"},
+       {"src/core/a.cpp",
+        "int countdown(int n) { return n ? countdown(n - 1) : 0; }\n"
+        "int helper() { return 2; }\n"
+        "class Lonely { Lonely copy() const; };\n"
+        "Lonely Lonely::copy() const { return Lonely{}; }\n"},
+       {"tests/core/a_test.cpp",
+        "void check() { helper(); countdown(3); Lonely l; }\n"}});
+  std::vector<std::pair<std::string, int>> where;
+  for (const Diagnostic& d : diags) {
+    EXPECT_EQ(d.rule, "scrubber-unreferenced");
+    where.emplace_back(d.file, d.line);
+  }
+  const std::vector<std::pair<std::string, int>> want = {
+      {"src/core/a.cpp", 1}, {"src/core/a.cpp", 2},
+      {"src/core/a.cpp", 3}, {"src/core/a.cpp", 4}};
+  std::sort(where.begin(), where.end());
+  EXPECT_EQ(where, want);
 }
 
 // ------------------------------------------------------------------ sarif

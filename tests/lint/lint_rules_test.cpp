@@ -140,7 +140,7 @@ TEST(ScrubberLint, ListRulesNamesEveryRule) {
         "scrubber-banned-construct", "scrubber-nolint-needs-reason",
         "scrubber-transitive", "scrubber-deterministic",
         "scrubber-layering", "scrubber-stale-nolint",
-        "scrubber-simd-isolation"}) {
+        "scrubber-simd-isolation", "scrubber-unreferenced"}) {
     EXPECT_TRUE(rules.count(rule) > 0) << "missing rule id: " << rule;
   }
 }

@@ -147,7 +147,7 @@ TEST(DecisionTree, MinSamplesLeafLimitsGrowth) {
   small.fit(train);
   DecisionTree big;
   big.fit(train);
-  EXPECT_LT(small.node_count(), big.node_count());
+  EXPECT_LT(small.nodes().size(), big.nodes().size());
 }
 
 TEST(DecisionTree, CcpPruningShrinksTree) {
@@ -169,7 +169,7 @@ TEST(DecisionTree, PureNodeIsLeaf) {
   }
   DecisionTree tree;
   tree.fit(data);
-  EXPECT_EQ(tree.node_count(), 1u);
+  EXPECT_EQ(tree.nodes().size(), 1u);
   EXPECT_DOUBLE_EQ(tree.score(std::vector<double>{5.0}), 1.0);
 }
 

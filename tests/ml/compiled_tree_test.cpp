@@ -86,8 +86,6 @@ TEST(CompiledTree, BatchBitIdenticalToScalarOnRandomTrees) {
     for (std::size_t i = 0; i < rows.n_rows(); ++i) {
       const double scalar = tree.score(rows.row(i));
       EXPECT_EQ(scalar, batch[i]) << "trial " << trial << " row " << i;
-      EXPECT_EQ(scalar, tree.compiled().predict(rows.row(i)))
-          << "trial " << trial << " row " << i;
     }
   }
 }
@@ -122,9 +120,6 @@ TEST(CompiledForest, BatchBitIdenticalToScalarOnRandomForests) {
     for (std::size_t i = 0; i < rows.n_rows(); ++i) {
       const double scalar = model.score(rows.row(i));
       EXPECT_EQ(scalar, batch[i]) << "trial " << trial << " row " << i;
-      EXPECT_EQ(model.margin(rows.row(i)),
-                model.compiled().margin(rows.row(i)))
-          << "trial " << trial << " row " << i;
     }
   }
 }

@@ -31,13 +31,6 @@ TEST(Dataset, AddRowWrongWidthThrows) {
   EXPECT_THROW(data.add_row(bad, 0), std::invalid_argument);
 }
 
-TEST(Dataset, ColumnIndexLookup) {
-  const Dataset data = two_column_dataset(1);
-  EXPECT_EQ(data.column_index("x"), 0u);
-  EXPECT_EQ(data.column_index("c"), 1u);
-  EXPECT_THROW((void)data.column_index("missing"), std::out_of_range);
-}
-
 TEST(Dataset, PositiveCount) {
   const Dataset data = two_column_dataset(10);
   EXPECT_EQ(data.positive_count(), 5u);
@@ -57,17 +50,6 @@ TEST(Dataset, SubsetPreservesOrderAndLabels) {
   EXPECT_DOUBLE_EQ(sub.at(0, 0), 7.0);
   EXPECT_DOUBLE_EQ(sub.at(1, 0), 2.0);
   EXPECT_EQ(sub.label(2), 1);
-}
-
-TEST(Dataset, SelectColumns) {
-  const Dataset data = two_column_dataset(4);
-  const std::vector<std::size_t> cols{1};
-  const Dataset sel = data.select_columns(cols);
-  EXPECT_EQ(sel.n_cols(), 1u);
-  EXPECT_EQ(sel.column(0).name, "c");
-  EXPECT_EQ(sel.column(0).kind, ColumnKind::kCategorical);
-  EXPECT_DOUBLE_EQ(sel.at(2, 0), 2.0);
-  EXPECT_EQ(sel.labels(), data.labels());
 }
 
 TEST(Dataset, SplitIndicesPartition) {

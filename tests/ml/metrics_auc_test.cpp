@@ -56,38 +56,5 @@ TEST(RocAuc, SizeMismatchThrows) {
                std::invalid_argument);
 }
 
-TEST(ThresholdSweep, MonotonePredictions) {
-  const std::vector<int> truth{0, 0, 1, 1, 1};
-  const std::vector<double> scores{0.1, 0.4, 0.45, 0.7, 0.9};
-  const std::vector<double> thresholds{0.0, 0.5, 1.1};
-  const auto sweep = threshold_sweep(truth, scores, thresholds);
-  ASSERT_EQ(sweep.size(), 3u);
-  // Threshold 0: everything positive.
-  EXPECT_EQ(sweep[0].cm.tp, 3u);
-  EXPECT_EQ(sweep[0].cm.fp, 2u);
-  // Threshold 0.5: one positive lost.
-  EXPECT_EQ(sweep[1].cm.tp, 2u);
-  EXPECT_EQ(sweep[1].cm.fp, 0u);
-  // Threshold above max score: nothing positive.
-  EXPECT_EQ(sweep[2].cm.tp, 0u);
-  EXPECT_EQ(sweep[2].cm.tn, 2u);
-}
-
-TEST(BestFbetaThreshold, PicksOperatingPoint) {
-  // fp-heavy low thresholds should lose to a mid threshold under beta=0.5.
-  util::Rng rng(2);
-  std::vector<int> truth;
-  std::vector<double> scores;
-  for (int i = 0; i < 5000; ++i) {
-    const int y = rng.chance(0.5) ? 1 : 0;
-    truth.push_back(y);
-    scores.push_back(y ? rng.uniform(0.3, 1.0) : rng.uniform(0.0, 0.7));
-  }
-  const std::vector<double> thresholds{0.05, 0.3, 0.5, 0.7, 0.95};
-  const double best = best_fbeta_threshold(truth, scores, thresholds, 0.5);
-  EXPECT_GE(best, 0.3);
-  EXPECT_LE(best, 0.7);
-}
-
 }  // namespace
 }  // namespace scrubber::ml

@@ -36,7 +36,6 @@ TEST(ConfusionMatrix, Rates) {
   EXPECT_DOUBLE_EQ(cm.fpr(), 0.1);
   EXPECT_DOUBLE_EQ(cm.precision(), 80.0 / 90.0);
   EXPECT_DOUBLE_EQ(cm.recall(), 0.8);
-  EXPECT_DOUBLE_EQ(cm.accuracy(), 170.0 / 200.0);
 }
 
 TEST(ConfusionMatrix, RatesComplementary) {
@@ -82,7 +81,6 @@ TEST(ConfusionMatrix, EmptyIsZeroNotNan) {
   EXPECT_DOUBLE_EQ(cm.tnr(), 0.0);
   EXPECT_DOUBLE_EQ(cm.f1(), 0.0);
   EXPECT_DOUBLE_EQ(cm.f_beta(0.5), 0.0);
-  EXPECT_DOUBLE_EQ(cm.accuracy(), 0.0);
   EXPECT_DOUBLE_EQ(cm.precision(), 0.0);
 }
 

@@ -76,7 +76,8 @@ struct ForceLevel {
   explicit ForceLevel(util::SimdLevel level) noexcept {
     util::set_simd_override(level);
   }
-  ~ForceLevel() { util::clear_simd_override(); }
+  // The highest level clamps to simd_detect(): automatic dispatch again.
+  ~ForceLevel() { util::set_simd_override(util::SimdLevel::kAvx2); }
 };
 
 std::vector<double> forest_margins(const CompiledForest& forest,

@@ -82,16 +82,6 @@ TEST(WoeColumn, DivisionByZeroSmoothed) {
   EXPECT_LT(woe6, 0.0);
 }
 
-TEST(WoeColumn, OverrideWins) {
-  WoeColumn column;
-  column.observe(5, 1);
-  column.finalize();
-  column.set_override(5, -3.0);
-  EXPECT_DOUBLE_EQ(column.encode(5), -3.0);
-  column.set_override(77, 2.0);  // value never observed
-  EXPECT_DOUBLE_EQ(column.encode(77), 2.0);
-}
-
 TEST(WoeColumn, ValuesAboveThreshold) {
   WoeColumn column;
   for (int i = 0; i < 100; ++i) column.observe(1, 1);

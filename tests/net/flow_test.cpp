@@ -79,14 +79,5 @@ TEST(FlowSerialization, TruncatedThrows) {
   EXPECT_THROW(read_flows(truncated), std::runtime_error);
 }
 
-TEST(FlowSerialization, CsvHasHeaderAndRows) {
-  std::stringstream buffer;
-  write_flows_csv(buffer, {sample_flow()});
-  const std::string out = buffer.str();
-  EXPECT_NE(out.find("minute,src_ip"), std::string::npos);
-  EXPECT_NE(out.find("198.51.100.7"), std::string::npos);
-  EXPECT_NE(out.find(",1\n"), std::string::npos);  // blackholed flag
-}
-
 }  // namespace
 }  // namespace scrubber::net

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 namespace scrubber::net {
 namespace {
 
@@ -19,39 +21,14 @@ PacketHeader make_packet(std::uint64_t ts_ms, std::uint32_t src,
   return p;
 }
 
-TEST(PacketSampler, RateOneKeepsEverything) {
-  PacketSampler sampler(1, 42);
-  for (int i = 0; i < 100; ++i) EXPECT_TRUE(sampler.sample());
-  EXPECT_EQ(sampler.sampled(), 100u);
-  EXPECT_EQ(sampler.seen(), 100u);
-}
-
-TEST(PacketSampler, RateZeroTreatedAsOne) {
-  PacketSampler sampler(0, 42);
-  EXPECT_EQ(sampler.rate(), 1u);
-  EXPECT_TRUE(sampler.sample());
-}
-
-TEST(PacketSampler, MeanSamplingRateApproximatesN) {
-  PacketSampler sampler(100, 7);
-  const int packets = 2000000;
-  for (int i = 0; i < packets; ++i) (void)sampler.sample();
-  const double effective =
-      static_cast<double>(sampler.seen()) / static_cast<double>(sampler.sampled());
-  EXPECT_NEAR(effective, 100.0, 5.0);
-}
-
-TEST(PacketSampler, DeterministicForSeed) {
-  PacketSampler a(10, 3), b(10, 3);
-  for (int i = 0; i < 1000; ++i) EXPECT_EQ(a.sample(), b.sample());
-}
+/// drain_before() bound that flushes every minute bin.
+constexpr std::uint32_t kEveryMinute = std::numeric_limits<std::uint32_t>::max();
 
 TEST(FlowCache, AggregatesSameKey) {
   FlowCache cache(1);
   cache.add(make_packet(60'000, 1, 123, 400));
   cache.add(make_packet(61'000, 1, 123, 500));  // same minute (1), same key
-  EXPECT_EQ(cache.active_flows(), 1u);
-  const auto flows = cache.drain_all();
+  const auto flows = cache.drain_before(kEveryMinute);
   ASSERT_EQ(flows.size(), 1u);
   EXPECT_EQ(flows[0].packets, 2u);
   EXPECT_EQ(flows[0].bytes, 900u);
@@ -63,11 +40,12 @@ TEST(FlowCache, SeparatesMinutes) {
   FlowCache cache(1);
   cache.add(make_packet(30'000, 1, 123));   // minute 0
   cache.add(make_packet(90'000, 1, 123));   // minute 1
-  EXPECT_EQ(cache.active_flows(), 2u);
   const auto old_flows = cache.drain_before(1);
   ASSERT_EQ(old_flows.size(), 1u);
   EXPECT_EQ(old_flows[0].minute, 0u);
-  EXPECT_EQ(cache.active_flows(), 1u);
+  const auto rest = cache.drain_before(kEveryMinute);
+  ASSERT_EQ(rest.size(), 1u);
+  EXPECT_EQ(rest[0].minute, 1u);
 }
 
 TEST(FlowCache, SeparatesDistinctKeys) {
@@ -75,13 +53,13 @@ TEST(FlowCache, SeparatesDistinctKeys) {
   cache.add(make_packet(0, 1, 123));
   cache.add(make_packet(0, 2, 123));  // different src ip
   cache.add(make_packet(0, 1, 53));   // different src port
-  EXPECT_EQ(cache.active_flows(), 3u);
+  EXPECT_EQ(cache.drain_before(kEveryMinute).size(), 3u);
 }
 
 TEST(FlowCache, ScalesBySamplingRate) {
   FlowCache cache(100);
   cache.add(make_packet(0, 1, 123, 468));
-  const auto flows = cache.drain_all();
+  const auto flows = cache.drain_before(kEveryMinute);
   ASSERT_EQ(flows.size(), 1u);
   EXPECT_EQ(flows[0].packets, 100u);
   EXPECT_EQ(flows[0].bytes, 46800u);
@@ -98,7 +76,7 @@ TEST(FlowCache, TcpFlagsAccumulateWithOr) {
   ack.tcp_flags = 0x10;
   cache.add(syn);
   cache.add(ack);
-  const auto flows = cache.drain_all();
+  const auto flows = cache.drain_before(kEveryMinute);
   ASSERT_EQ(flows.size(), 1u);
   EXPECT_EQ(flows[0].tcp_flags, 0x12);
 }
@@ -109,14 +87,14 @@ TEST(FlowCache, DrainOrderDeterministic) {
     a.add(make_packet(0, i, 123));
     b.add(make_packet(0, i, 123));
   }
-  EXPECT_EQ(a.drain_all(), b.drain_all());
+  EXPECT_EQ(a.drain_before(kEveryMinute), b.drain_before(kEveryMinute));
 }
 
 TEST(FlowCache, FieldsCopiedThrough) {
   FlowCache cache(2);
   const PacketHeader p = make_packet(120'000, 99, 123);
   cache.add(p);
-  const auto flows = cache.drain_all();
+  const auto flows = cache.drain_before(kEveryMinute);
   ASSERT_EQ(flows.size(), 1u);
   EXPECT_EQ(flows[0].src_ip.value(), 99u);
   EXPECT_EQ(flows[0].dst_ip, p.dst_ip);

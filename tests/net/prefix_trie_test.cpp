@@ -50,17 +50,6 @@ TEST(PrefixTrie, HostRoute) {
   EXPECT_EQ(trie.match(ip("192.0.2.2")), nullptr);
 }
 
-TEST(PrefixTrie, MatchEntryReturnsPrefix) {
-  PrefixTrie<int> trie;
-  trie.insert(pfx("10.0.0.0/8"), 8);
-  trie.insert(pfx("10.1.0.0/16"), 16);
-  const auto entry = trie.match_entry(ip("10.1.2.3"));
-  ASSERT_TRUE(entry.has_value());
-  EXPECT_EQ(entry->first.to_string(), "10.1.0.0/16");
-  EXPECT_EQ(entry->second, 16);
-  EXPECT_FALSE(trie.match_entry(ip("12.0.0.1")).has_value());
-}
-
 TEST(PrefixTrie, MatchAllLeastSpecificFirst) {
   PrefixTrie<int> trie;
   trie.insert(pfx("10.0.0.0/8"), 8);

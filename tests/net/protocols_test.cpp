@@ -64,8 +64,6 @@ TEST(Vectors, TcpVariantsDistinct) {
 TEST(Vectors, BenignTrafficNotClassified) {
   EXPECT_EQ(classify_vector(6, 443, 50000), std::nullopt);
   EXPECT_EQ(classify_vector(17, 51820, 51820), std::nullopt);
-  EXPECT_FALSE(is_well_known_ddos_port(6, 443, 50000));
-  EXPECT_TRUE(is_well_known_ddos_port(17, 123, 1));
 }
 
 TEST(Vectors, Top7MatchesTable3) {

@@ -88,8 +88,8 @@ void expect_parity(const std::vector<std::uint8_t>& wire) {
   }
   if (oracle_accepted) {
     ASSERT_EQ(view.status, DecodeStatus::kOk)
-        << "oracle accepted but view rejected with "
-        << decode_status_name(view.status);
+        << "oracle accepted but view rejected with status "
+        << static_cast<int>(view.status);
     EXPECT_EQ(view.header.agent, oracle.agent);
     EXPECT_EQ(view.header.sub_agent_id, oracle.sub_agent_id);
     EXPECT_EQ(view.header.sequence, oracle.sequence);

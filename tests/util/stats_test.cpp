@@ -96,38 +96,5 @@ TEST(Stats, EcdfPointsSorted) {
   EXPECT_EQ(pts, (std::vector<double>{1.0, 2.0, 3.0}));
 }
 
-TEST(Accumulator, MatchesBatchStatistics) {
-  Rng rng(7);
-  std::vector<double> values;
-  Accumulator acc;
-  for (int i = 0; i < 1000; ++i) {
-    const double v = rng.normal(5.0, 3.0);
-    values.push_back(v);
-    acc.add(v);
-  }
-  EXPECT_EQ(acc.count(), 1000u);
-  EXPECT_NEAR(acc.mean(), mean(values), 1e-9);
-  EXPECT_NEAR(acc.variance(), variance(values), 1e-6);
-  EXPECT_DOUBLE_EQ(acc.min(), *std::min_element(values.begin(), values.end()));
-  EXPECT_DOUBLE_EQ(acc.max(), *std::max_element(values.begin(), values.end()));
-}
-
-TEST(Accumulator, EmptyIsZero) {
-  Accumulator acc;
-  EXPECT_EQ(acc.count(), 0u);
-  EXPECT_DOUBLE_EQ(acc.mean(), 0.0);
-  EXPECT_DOUBLE_EQ(acc.variance(), 0.0);
-}
-
-TEST(Accumulator, SingleValue) {
-  Accumulator acc;
-  acc.add(42.0);
-  EXPECT_DOUBLE_EQ(acc.mean(), 42.0);
-  EXPECT_DOUBLE_EQ(acc.variance(), 0.0);
-  EXPECT_DOUBLE_EQ(acc.min(), 42.0);
-  EXPECT_DOUBLE_EQ(acc.max(), 42.0);
-  EXPECT_DOUBLE_EQ(acc.sum(), 42.0);
-}
-
 }  // namespace
 }  // namespace scrubber::util

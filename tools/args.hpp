@@ -5,13 +5,17 @@
 // fails loudly instead of being ignored.
 
 #include <algorithm>
+#include <charconv>
 #include <cstdint>
 #include <functional>
 #include <initializer_list>
+#include <limits>
 #include <map>
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <system_error>
+#include <type_traits>
 
 namespace scrubber::tools {
 
@@ -52,10 +56,26 @@ class Args {
     }
     return it->second;
   }
-  [[nodiscard]] std::uint64_t number(std::string_view key,
-                                     std::uint64_t fallback) const {
+  /// `--key` as a T, or `fallback` when absent. The whole value must be
+  /// decimal digits that fit in T: a sign, trailing text or an
+  /// out-of-range value is an error that names the option.
+  template <typename T>
+  [[nodiscard]] T number(std::string_view key, T fallback) const {
+    static_assert(std::is_integral_v<T>);
     const auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::stoull(it->second);
+    if (it == values_.end()) return fallback;
+    const std::string& text = it->second;
+    const char* end = text.data() + text.size();
+    T value{};
+    const auto parsed = std::from_chars(text.data(), end, value);
+    if (text.empty() || text[0] == '-' || parsed.ec != std::errc{} ||
+        parsed.ptr != end) {
+      throw std::runtime_error(
+          std::string("--").append(key).append(" wants an integer in [0, ")
+              .append(std::to_string(std::numeric_limits<T>::max()))
+              .append("], got ").append(text));
+    }
+    return value;
   }
   [[nodiscard]] double real(std::string_view key, double fallback) const {
     const auto it = values_.find(key);

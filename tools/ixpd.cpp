@@ -60,20 +60,19 @@ int run(int argc, char** argv) {
                    "listen", "bind", "recv-batch", "idle-stop-ms",           // wire
                    "stats-every"});
   const auto profile = flowgen::profile_by_name(args.get("profile", "us2"));
-  const std::uint32_t minutes =
-      static_cast<std::uint32_t>(args.number("minutes", 2880));
-  const std::uint64_t seed = args.number("seed", 7);
-  const auto sampling = static_cast<std::uint32_t>(args.number("sampling", 10));
+  const std::uint32_t minutes = args.number<std::uint32_t>("minutes", 2880);
+  const std::uint64_t seed = args.number<std::uint64_t>("seed", 7);
+  const auto sampling = args.number<std::uint32_t>("sampling", 10);
   const std::uint32_t stats_every =
-      static_cast<std::uint32_t>(args.number("stats-every", 240));
+      args.number<std::uint32_t>("stats-every", 240);
   // Trace generation threads: the source is deterministic for any value
   // (per-minute RNG streams), so default to every available core.
-  const auto gen_threads = static_cast<unsigned>(args.number(
-      "gen-threads", std::max(1U, std::thread::hardware_concurrency())));
+  const auto gen_threads = args.number<unsigned>(
+      "gen-threads", std::max(1U, std::thread::hardware_concurrency()));
   // Learning-plane threads (LiveDetector retraining): deterministic for
   // any value too (DESIGN.md §9), so also default to every core.
   const unsigned train_threads = util::set_training_threads(
-      static_cast<unsigned>(args.number("train-threads", 0)));
+      args.number<unsigned>("train-threads", 0));
   // Scoring kernel dispatch: scores are bit-identical at every level
   // (DESIGN.md §13), so this only trades wall time — scalar is the
   // apples-to-apples baseline for perf triage. A level the build or CPU
@@ -88,9 +87,8 @@ int run(int argc, char** argv) {
   }
 
   runtime::EngineConfig engine_config;
-  engine_config.shards = static_cast<std::size_t>(args.number("shards", 4));
-  engine_config.queue_capacity =
-      static_cast<std::size_t>(args.number("queue", 4096));
+  engine_config.shards = args.number<std::size_t>("shards", 4);
+  engine_config.queue_capacity = args.number<std::size_t>("queue", 4096);
   const std::string policy = args.get("policy", "block");
   if (policy == "drop") {
     engine_config.backpressure = runtime::Backpressure::kDrop;
@@ -100,17 +98,15 @@ int run(int argc, char** argv) {
   engine_config.collector.sampling_rate = sampling;
 
   core::LiveDetectorConfig detector_config;
-  detector_config.warmup_min =
-      static_cast<std::uint32_t>(args.number("warmup", 1440));
+  detector_config.warmup_min = args.number<std::uint32_t>("warmup", 1440);
   detector_config.retrain_interval_min =
-      static_cast<std::uint32_t>(args.number("retrain", 1440));
+      args.number<std::uint32_t>("retrain", 1440);
   detector_config.min_flows_per_target =
-      static_cast<std::uint32_t>(args.number("min-flows", 8));
+      args.number<std::uint32_t>("min-flows", 8);
   detector_config.seed = seed ^ 0xD43;
   // Feature-build threads for the per-minute aggregation (bit-identical
   // for any value, DESIGN.md §10); 0 = full training pool.
-  detector_config.agg_threads =
-      static_cast<unsigned>(args.number("agg-threads", 0));
+  detector_config.agg_threads = args.number<unsigned>("agg-threads", 0);
 
   std::uint64_t detections = 0;
   core::LiveDetector detector(
@@ -144,12 +140,9 @@ int run(int argc, char** argv) {
     const auto& updates = generator.updates();
     netio::ListenerConfig listener_config;
     listener_config.bind_address = args.get("bind", "127.0.0.1");
-    listener_config.port =
-        static_cast<std::uint16_t>(args.number("listen", 0));
-    listener_config.batch_msgs =
-        static_cast<std::size_t>(args.number("recv-batch", 32));
-    listener_config.idle_stop_ms =
-        static_cast<int>(args.number("idle-stop-ms", 0));
+    listener_config.port = args.number<std::uint16_t>("listen", 0);
+    listener_config.batch_msgs = args.number<std::size_t>("recv-batch", 32);
+    listener_config.idle_stop_ms = args.number<int>("idle-stop-ms", 0);
     netio::UdpListener listener(
         listener_config, engine, [&](std::uint32_t minute) {
           while (next_update < updates.size() &&

@@ -92,22 +92,34 @@ struct ParsedFn {
   std::size_t body_open = kNpos;  ///< token index of the body `{`
 };
 
-/// Tries to parse a function definition whose name token is at `t` (with
+enum class Declarator { kNone, kDeclaration, kDefinition };
+
+/// Parses a function declarator whose name token is at `t` (with
 /// `toks[t + 1] == "("`). Accepts the parameter list, then a trailer of
 /// const / noexcept(...) / override / final / & / && / trailing return /
-/// ctor-initializer list, ending at the body `{`. Declarations (`;`) and
-/// `= default` / initializers (`=`) are rejected.
-bool try_parse_function(const std::vector<Token>& toks, std::size_t t,
-                        ParsedFn& out) {
+/// ctor-initializer list. Ending at the body `{` is a definition; ending
+/// at `;` or `= 0` / `= default` / `= delete` is a declaration; anything
+/// else (an initializer, a call inside an expression) is neither.
+Declarator parse_declarator(const std::vector<Token>& toks, std::size_t t,
+                            ParsedFn& out) {
+  constexpr Declarator kNone = Declarator::kNone;
   std::size_t q = skip_balanced(toks, t + 1, "(", ")");
-  if (q == kNpos) return false;
+  if (q == kNpos) return kNone;
   while (q < toks.size()) {
     const std::string& s = toks[q].text;
     if (s == "{") {
       out.body_open = q;
-      return true;
+      return Declarator::kDefinition;
     }
-    if (s == ";" || s == "=" || s == "}") return false;
+    if (s == ";") return Declarator::kDeclaration;
+    if (s == "=") {
+      const bool pure_or_special =
+          q + 1 < toks.size() &&
+          (toks[q + 1].text == "0" || toks[q + 1].text == "default" ||
+           toks[q + 1].text == "delete");
+      return pure_or_special ? Declarator::kDeclaration : kNone;
+    }
+    if (s == "}") return kNone;
     if (s == "const" || s == "override" || s == "final" || s == "mutable") {
       ++q;
       continue;
@@ -116,7 +128,7 @@ bool try_parse_function(const std::vector<Token>& toks, std::size_t t,
       ++q;
       if (q < toks.size() && toks[q].text == "(") {
         q = skip_balanced(toks, q, "(", ")");
-        if (q == kNpos) return false;
+        if (q == kNpos) return kNone;
       }
       continue;
     }
@@ -143,13 +155,13 @@ bool try_parse_function(const std::vector<Token>& toks, std::size_t t,
     }
     if (s == ":") {
       const std::size_t body = parse_ctor_init(toks, q + 1);
-      if (body == kNpos) return false;
+      if (body == kNpos) return kNone;
       out.body_open = body;
-      return true;
+      return Declarator::kDefinition;
     }
-    return false;
+    return kNone;
   }
-  return false;
+  return kNone;
 }
 
 /// The per-file scope scanner. A stack of frames tracks where `{` put us;
@@ -159,7 +171,8 @@ class Scanner {
  public:
   Scanner(ProjectIndex& out, std::uint32_t file_idx)
       : out_(out), file_(file_idx),
-        toks_(out.files[file_idx].lexed.tokens) {}
+        toks_(out.files[file_idx].lexed.tokens),
+        declarators_(out.files[file_idx].declarators) {}
 
   void run() {
     scopes_.push_back(Frame{Kind::Namespace, "", -1});
@@ -171,22 +184,24 @@ class Scanner {
       if (tok.text == "{") {
         Kind kind = Kind::Block;
         std::string name;
+        std::int32_t def = -1;
         if (decl_scope && pending_.kind == Pending::Namespace) {
           kind = Kind::Namespace;
           name = pending_.name;
         } else if (decl_scope && pending_.kind == Pending::Class) {
           kind = Kind::Class;
           name = pending_.name;
+          if (!name.empty()) def = record_class(t);
         }
-        scopes_.push_back(Frame{kind, std::move(name), -1});
+        scopes_.push_back(Frame{kind, std::move(name), def});
         pending_ = {};
-        ++t;
+        stmt_begin_ = ++t;
         continue;
       }
       if (tok.text == "}") {
         close_top(t, tok.line);
         pending_ = {};
-        ++t;
+        stmt_begin_ = ++t;
         continue;
       }
       if (decl_scope) {
@@ -208,7 +223,7 @@ class Scanner {
   struct Frame {
     Kind kind;
     std::string name;
-    std::int32_t func;  ///< FunctionDef index for Kind::Function
+    std::int32_t def;  ///< FunctionDef / ClassDef index, or -1
   };
   struct Pending {
     /// Enum and Init both make the next `{` a plain block, but only Enum
@@ -217,18 +232,35 @@ class Scanner {
     /// must be a class despite the `=` in the default argument.
     enum Which { None, Namespace, Class, Enum, Init } kind = None;
     std::string name;
-    bool name_frozen = false;  ///< a `:` base clause froze the class name
+    std::size_t name_token = kNpos;
+    /// A `:` base clause or a specialization's `<` froze the class name.
+    bool name_frozen = false;
   };
 
   void close_top(std::size_t t, int line) {
     if (scopes_.size() <= 1) return;
     const Frame& top = scopes_.back();
-    if (top.kind == Kind::Function && top.func >= 0) {
-      FunctionDef& fn = out_.functions[static_cast<std::size_t>(top.func)];
+    if (top.kind == Kind::Function && top.def >= 0) {
+      FunctionDef& fn = out_.functions[static_cast<std::size_t>(top.def)];
       fn.body_end = t;
       fn.body_end_line = line;
+    } else if (top.kind == Kind::Class && top.def >= 0) {
+      out_.classes[static_cast<std::size_t>(top.def)].body_end = t;
     }
     scopes_.pop_back();
+  }
+
+  /// Records the class whose body `{` is at `t`; returns its index.
+  std::int32_t record_class(std::size_t t) {
+    ClassDef def;
+    def.file = file_;
+    def.name = pending_.name;
+    def.name_line = toks_[pending_.name_token].line;
+    def.name_token = pending_.name_token;
+    def.body_begin = t + 1;
+    def.body_end = toks_.size();
+    out_.classes.push_back(std::move(def));
+    return static_cast<std::int32_t>(out_.classes.size() - 1);
   }
 
   /// Handles one token at namespace/class scope; returns the next index.
@@ -236,11 +268,18 @@ class Scanner {
     const Token& tok = toks_[t];
     if (!tok.is_identifier) {
       if (tok.text == ";") {
+        if (pending_.kind == Pending::Class &&
+            pending_.name_token != kNpos) {
+          declarators_.push_back(pending_.name_token);  // `class Foo;`
+        }
         pending_ = {};
+        stmt_begin_ = t + 1;
       } else if (tok.text == "=") {
         pending_.kind = Pending::Init;  // initializer braces, not a scope
-      } else if (tok.text == ":" && pending_.kind == Pending::Class) {
-        pending_.name_frozen = true;  // base clause: `class Foo : Bar`
+      } else if ((tok.text == ":" || tok.text == "<") &&
+                 pending_.kind == Pending::Class && !pending_.name.empty()) {
+        // Base clause `class Foo : Bar`, specialization `struct hash<K>`.
+        pending_.name_frozen = true;
       }
       return t + 1;
     }
@@ -251,8 +290,8 @@ class Scanner {
       return t + 1;
     }
     if ((s == "class" || s == "struct") && pending_.kind != Pending::Enum) {
+      pending_ = {};
       pending_.kind = Pending::Class;
-      pending_.name_frozen = false;
       return t + 1;
     }
     if (s == "enum" || s == "union") {
@@ -267,13 +306,21 @@ class Scanner {
     if (pending_.kind == Pending::Class && !pending_.name_frozen &&
         keyword_set().count(s) == 0) {
       pending_.name = s;  // last identifier before `{` / `:` wins
+      pending_.name_token = t;
       return t + 1;
     }
     if (keyword_set().count(s) == 0 && !is_all_caps(s) &&
         t + 1 < toks_.size() && toks_[t + 1].text == "(") {
       ParsedFn parsed;
-      if (try_parse_function(toks_, t, parsed)) {
+      const Declarator kind = parse_declarator(toks_, t, parsed);
+      if (kind == Declarator::kDefinition) {
+        declarators_.push_back(t);
         return record_definition(t, parsed);
+      }
+      // After `=` this is an initializer's call (`int x = f(1);`), not a
+      // declaration.
+      if (kind == Declarator::kDeclaration && pending_.kind != Pending::Init) {
+        declarators_.push_back(t);
       }
     }
     return t + 1;
@@ -318,6 +365,7 @@ class Scanner {
     def.class_name = class_name;
     def.qualified = std::move(qualified);
     def.name_line = toks_[t].line;
+    def.decl_begin = stmt_begin_;
     def.body_begin = parsed.body_open + 1;
     def.body_begin_line = toks_[parsed.body_open].line;
     const auto idx = static_cast<std::int32_t>(out_.functions.size());
@@ -338,7 +386,7 @@ class Scanner {
     std::int32_t caller = -1;
     for (auto it = scopes_.rbegin(); it != scopes_.rend(); ++it) {
       if (it->kind == Kind::Function) {
-        caller = it->func;
+        caller = it->def;
         break;
       }
     }
@@ -373,7 +421,9 @@ class Scanner {
   const std::uint32_t file_;
   const std::vector<Token>& toks_;
   std::vector<Frame> scopes_;
+  std::vector<std::size_t>& declarators_;
   Pending pending_;
+  std::size_t stmt_begin_ = 0;  ///< first token of the current declaration
 };
 
 void collect_includes(ProjectIndex& out, std::uint32_t file_idx) {
@@ -425,6 +475,8 @@ ProjectIndex build_index(std::vector<LexedFile> files) {
   }
   for (std::uint32_t fi = 0; fi < out.files.size(); ++fi) {
     Scanner(out, fi).run();
+    std::sort(out.files[fi].declarators.begin(),
+              out.files[fi].declarators.end());
     collect_includes(out, fi);
   }
   for (std::uint32_t i = 0; i < out.functions.size(); ++i) {

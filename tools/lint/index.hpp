@@ -9,6 +9,8 @@
 //   - quoted #include edges (the layering pass checks them against the
 //     declared module DAG)
 //   - NOLINT suppression sites (the stale pass checks they still fire)
+//   - class definitions and the name tokens of function declarators and
+//     forward class declarations (the unreferenced pass discounts them)
 //
 // The function scanner is a heuristic brace/scope tracker, not a parser:
 // it recognizes `name(args) <trailer> {` at namespace/class scope,
@@ -34,6 +36,16 @@ struct FunctionDef {
   int name_line = 0;
   int body_begin_line = 0;
   int body_end_line = 0;
+  std::size_t decl_begin = 0;  ///< first token of the whole declaration
+  std::size_t body_begin = 0;  ///< token range [body_begin, body_end)
+  std::size_t body_end = 0;
+};
+
+struct ClassDef {
+  std::uint32_t file = 0;
+  std::string name;
+  int name_line = 0;
+  std::size_t name_token = 0;
   std::size_t body_begin = 0;  ///< token range [body_begin, body_end)
   std::size_t body_end = 0;
 };
@@ -57,11 +69,16 @@ struct IndexedFile {
   LexedFile lexed;
   Suppressions suppressions;
   std::string module;  ///< "runtime", "tools", ...; "" outside the tree
+  /// Sorted token indices of names being declared rather than used:
+  /// function names at namespace/class-scope declarations and
+  /// definitions, class names in forward declarations.
+  std::vector<std::size_t> declarators;
 };
 
 struct ProjectIndex {
   std::vector<IndexedFile> files;
   std::vector<FunctionDef> functions;
+  std::vector<ClassDef> classes;
   std::vector<CallSite> calls;
   std::vector<IncludeEdge> includes;
   std::map<std::string, std::vector<std::uint32_t>> functions_by_name;

@@ -19,8 +19,14 @@
 //                     ban rand/clock reads/unordered iteration/address
 //                     ordering
 //   pass 3 (program)  scrubber-layering: quoted includes must follow the
-//                     declared module DAG; scrubber-stale-nolint:
-//                     suppressions that no longer silence anything
+//                     declared module DAG; scrubber-unreferenced: src/
+//                     functions and classes nothing outside tests/ names;
+//                     scrubber-stale-nolint: suppressions that no longer
+//                     silence anything
+//
+// examples/ and bench_e2e/ under --root are reference-only roots: when
+// they are not targets themselves they are lexed for identifiers (uses
+// that keep src/ code alive) and never linted.
 //
 // Direct (per-file) rules are unchanged from v1 — see lint/rules.cpp.
 //
@@ -74,21 +80,48 @@ struct Options {
   int max_depth = 6;
 };
 
+/// Appends the lintable files under `path` (a directory or one file).
+bool collect(const fs::path& path, std::vector<fs::path>& files) {
+  std::error_code ec;
+  if (fs::is_directory(path, ec)) {
+    for (auto it = fs::recursive_directory_iterator(path, ec);
+         it != fs::recursive_directory_iterator(); ++it) {
+      if (it->is_regular_file() && lintable(it->path())) {
+        files.push_back(it->path());
+      }
+    }
+    return true;
+  }
+  if (fs::is_regular_file(path, ec)) {
+    files.push_back(path);
+    return true;
+  }
+  return false;
+}
+
+bool lex_all(const Options& options, const std::vector<fs::path>& files,
+             std::vector<scrubber::lint::LexedFile>& lexed) {
+  lexed.reserve(files.size());
+  for (const fs::path& path : files) {
+    std::ifstream in(path, std::ios::binary);
+    if (!in) {
+      std::fprintf(stderr, "scrubber-lint: cannot read %s\n",
+                   path.string().c_str());
+      return false;
+    }
+    std::ostringstream buffer;
+    buffer << in.rdbuf();
+    const std::string rel = fs::relative(path, options.root).generic_string();
+    lexed.push_back(scrubber::lint::lex(rel, buffer.str()));
+  }
+  return true;
+}
+
 int run(const Options& options, Sink& sink) {
   std::vector<fs::path> files;
   for (const std::string& target : options.targets) {
     const fs::path path = options.root / target;
-    std::error_code ec;
-    if (fs::is_directory(path, ec)) {
-      for (auto it = fs::recursive_directory_iterator(path, ec);
-           it != fs::recursive_directory_iterator(); ++it) {
-        if (it->is_regular_file() && lintable(it->path())) {
-          files.push_back(it->path());
-        }
-      }
-    } else if (fs::is_regular_file(path, ec)) {
-      files.push_back(path);
-    } else {
+    if (!collect(path, files)) {
       std::fprintf(stderr, "scrubber-lint: no such file or directory: %s\n",
                    path.string().c_str());
       return 2;
@@ -96,21 +129,23 @@ int run(const Options& options, Sink& sink) {
   }
   std::sort(files.begin(), files.end());
   files.erase(std::unique(files.begin(), files.end()), files.end());
+  std::vector<fs::path> reference_files;
+  for (const char* root : {"examples", "bench_e2e"}) {
+    std::vector<fs::path> found;
+    collect(options.root / root, found);
+    for (const fs::path& path : found) {
+      if (!std::binary_search(files.begin(), files.end(), path)) {
+        reference_files.push_back(path);
+      }
+    }
+  }
 
   const auto started = std::chrono::steady_clock::now();
   std::vector<scrubber::lint::LexedFile> lexed;
-  lexed.reserve(files.size());
-  for (const fs::path& path : files) {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
-      std::fprintf(stderr, "scrubber-lint: cannot read %s\n",
-                   path.string().c_str());
-      return 2;
-    }
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    const std::string rel = fs::relative(path, options.root).generic_string();
-    lexed.push_back(scrubber::lint::lex(rel, buffer.str()));
+  std::vector<scrubber::lint::LexedFile> reference_only;
+  if (!lex_all(options, files, lexed) ||
+      !lex_all(options, reference_files, reference_only)) {
+    return 2;
   }
 
   const scrubber::lint::ProjectIndex index =
@@ -130,6 +165,7 @@ int run(const Options& options, Sink& sink) {
     scrubber::lint::run_file_rules(file.lexed, raw);
   }
   scrubber::lint::rule_layering(index, raw);
+  scrubber::lint::rule_unreferenced(index, reference_only, raw);
   scrubber::lint::UsedSuppressions edge_used;
   scrubber::lint::TransitiveOptions transitive;
   transitive.max_depth = options.max_depth;
@@ -181,8 +217,9 @@ void usage() {
       "Lints .cpp/.hpp files under each PATH (relative to --root, default\n"
       "the current directory) against the scrubber-* project rules,\n"
       "including transitive call-graph checks for scrubber-hot and\n"
-      "scrubber-deterministic regions, module-DAG layering, and stale\n"
-      "NOLINT detection. --sarif also writes SARIF 2.1.0; --graph dot\n"
+      "scrubber-deterministic regions, module-DAG layering, src/ code\n"
+      "nothing outside tests/ names (examples/ and bench_e2e/ count as\n"
+      "uses), and stale NOLINT detection. --sarif also writes SARIF 2.1.0; --graph dot\n"
       "dumps the call graph and module DAG as Graphviz.\n"
       "Exit status: 0 clean, 1 violations, 2 usage/IO error.\n");
 }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <string_view>
+#include <tuple>
 
 namespace scrubber::lint {
 namespace {
@@ -450,6 +451,7 @@ const std::vector<std::string>& all_rule_ids() {
       "scrubber-nolint-needs-reason", "scrubber-transitive",
       "scrubber-deterministic",   "scrubber-layering",
       "scrubber-stale-nolint",    "scrubber-simd-isolation",
+      "scrubber-unreferenced",
   };
   return kRules;
 }
@@ -529,6 +531,135 @@ void rule_layering(const ProjectIndex& index, Sink& sink) {
             "` (module `" + target + "`) — the declared DAG allows " +
             from.module + " -> { " + joined(allowed->second) +
             " } (see DESIGN.md §12)"});
+  }
+}
+
+namespace {
+
+/// Identifiers of a preprocessor directive (a macro body, an #if
+/// condition); #include targets are paths, not uses.
+std::vector<std::string> directive_identifiers(const Directive& directive) {
+  const std::string& text = directive.text;
+  std::vector<std::string> out;
+  const auto head = text.find_first_not_of(" \t#");
+  if (head == std::string::npos || text.compare(head, 7, "include") == 0) {
+    return out;
+  }
+  const auto ident = [](char c) {
+    return std::isalnum(static_cast<unsigned char>(c)) != 0 || c == '_';
+  };
+  for (std::size_t i = head; i < text.size();) {
+    if (!ident(text[i])) {
+      ++i;
+      continue;
+    }
+    std::size_t end = i;
+    while (end < text.size() && ident(text[end])) ++end;
+    if (std::isdigit(static_cast<unsigned char>(text[i])) == 0) {
+      out.push_back(text.substr(i, end - i));
+    }
+    i = end;
+  }
+  return out;
+}
+
+/// One src/ function or class name: its definitions and which of its
+/// appearances are its own rather than uses.
+struct Candidate {
+  Sink findings;  ///< one per src/ definition, reported when `used` stays false
+  /// (file, [begin, end)) token spans: definition bodies, class bodies,
+  /// out-of-line member definitions, class-head names.
+  std::vector<std::tuple<std::uint32_t, std::size_t, std::size_t>> own;
+  bool used = false;
+
+  [[nodiscard]] bool owns(std::uint32_t file, std::size_t token) const {
+    return std::any_of(own.begin(), own.end(), [&](const auto& span) {
+      return std::get<0>(span) == file && token >= std::get<1>(span) &&
+             token < std::get<2>(span);
+    });
+  }
+};
+
+Diagnostic unreferenced(const std::string& file, int line,
+                        const std::string& what) {
+  return Diagnostic{
+      file, line, "scrubber-unreferenced",
+      what + " is named only at its own declaration, definition or body — "
+             "no use in src/, tools/, bench/, examples/ or bench_e2e/ "
+             "(tests/ do not count); delete it, or keep a test oracle with "
+             "NOLINT(scrubber-unreferenced): <reason>"};
+}
+
+}  // namespace
+
+void rule_unreferenced(const ProjectIndex& index,
+                       const std::vector<LexedFile>& reference_only,
+                       Sink& sink) {
+  const auto path = [&index](std::uint32_t file) -> const std::string& {
+    return index.files[file].lexed.rel_path;
+  };
+  const auto in_src = [&path](std::uint32_t file) {
+    return starts_with(path(file), "src/");
+  };
+  std::map<std::string, Candidate> candidates;
+  for (const FunctionDef& fn : index.functions) {
+    const bool special = fn.name == fn.class_name || fn.name[0] == '~';
+    if (!in_src(fn.file) || special) continue;
+    Candidate& c = candidates[fn.name];
+    c.findings.push_back(unreferenced(path(fn.file), fn.name_line,
+                                      "function `" + fn.qualified + "`"));
+    c.own.emplace_back(fn.file, fn.body_begin, fn.body_end);
+  }
+  for (const ClassDef& cls : index.classes) {
+    if (!in_src(cls.file)) continue;
+    Candidate& c = candidates[cls.name];
+    c.findings.push_back(unreferenced(path(cls.file), cls.name_line,
+                                      "class `" + cls.name + "`"));
+    c.own.emplace_back(cls.file, cls.name_token, cls.name_token + 1);
+    c.own.emplace_back(cls.file, cls.body_begin, cls.body_end);
+  }
+  for (const FunctionDef& fn : index.functions) {
+    const auto it = candidates.find(fn.class_name);
+    if (in_src(fn.file) && it != candidates.end()) {
+      it->second.own.emplace_back(fn.file, fn.decl_begin, fn.body_end);
+    }
+  }
+
+  const auto use_directives = [&candidates](const LexedFile& file) {
+    for (const Directive& directive : file.directives) {
+      for (const std::string& name : directive_identifiers(directive)) {
+        const auto it = candidates.find(name);
+        if (it != candidates.end()) it->second.used = true;
+      }
+    }
+  };
+  for (std::uint32_t fi = 0; fi < index.files.size(); ++fi) {
+    const IndexedFile& file = index.files[fi];
+    if (starts_with(file.lexed.rel_path, "tests/")) continue;
+    const auto& tokens = file.lexed.tokens;
+    for (std::size_t i = 0; i < tokens.size(); ++i) {
+      if (!tokens[i].is_identifier) continue;
+      const auto it = candidates.find(tokens[i].text);
+      if (it == candidates.end() || it->second.used) continue;
+      const bool declared = std::binary_search(
+          file.declarators.begin(), file.declarators.end(), i);
+      if (!declared && !it->second.owns(fi, i)) it->second.used = true;
+    }
+    use_directives(file.lexed);
+  }
+  for (const LexedFile& file : reference_only) {
+    for (const Token& token : file.tokens) {
+      const auto it = candidates.find(token.text);
+      if (it != candidates.end()) it->second.used = true;
+    }
+    use_directives(file);
+  }
+
+  for (const auto& [name, candidate] : candidates) {
+    if (!candidate.used) {
+      sink.insert(sink.end(), candidate.findings.begin(),
+                  candidate.findings.end());
+    }
   }
 }
 

@@ -28,6 +28,17 @@ void run_file_rules(const LexedFile& file, Sink& sink);
 /// scrubber-layering: quoted includes must follow the declared module DAG.
 void rule_layering(const ProjectIndex& index, Sink& sink);
 
+/// scrubber-unreferenced: a function or class defined under src/ whose
+/// name appears only at its own declarations, its definitions or inside
+/// its own bodies. Any other appearance of the identifier counts as a use
+/// (call, `&f`, template argument, macro body) anywhere outside tests/,
+/// including in `reference_only` files, which are lexed for identifiers
+/// and never linted (examples/ and bench_e2e/). Names are matched without
+/// scopes, so an override is used whenever its base is.
+void rule_unreferenced(const ProjectIndex& index,
+                       const std::vector<LexedFile>& reference_only,
+                       Sink& sink);
+
 /// Applies NOLINT suppressions to `raw` and appends survivors to `kept`,
 /// together with malformed-NOLINT diagnostics and scrubber-stale-nolint
 /// findings for suppression sites that silenced nothing (neither a

@@ -42,19 +42,18 @@ int run(int argc, char** argv) {
         "[--rate dgrams/s] [--schedule-seed 1] [--fin 3] [--gen-threads N]");
   }
   const auto profile = flowgen::profile_by_name(args.get("profile", "us2"));
-  const std::uint32_t minutes =
-      static_cast<std::uint32_t>(args.number("minutes", 120));
-  const std::uint64_t seed = args.number("seed", 7);
-  const auto sampling = static_cast<std::uint32_t>(args.number("sampling", 10));
-  const auto gen_threads = static_cast<unsigned>(args.number(
-      "gen-threads", std::max(1U, std::thread::hardware_concurrency())));
+  const std::uint32_t minutes = args.number<std::uint32_t>("minutes", 120);
+  const std::uint64_t seed = args.number<std::uint64_t>("seed", 7);
+  const auto sampling = args.number<std::uint32_t>("sampling", 10);
+  const auto gen_threads = args.number<unsigned>(
+      "gen-threads", std::max(1U, std::thread::hardware_concurrency()));
 
   netio::LoadGenConfig config;
   config.host = args.get("host", "127.0.0.1");
-  config.port = static_cast<std::uint16_t>(args.number("port", 0));
+  config.port = args.number<std::uint16_t>("port", 0);
   config.rate = args.real("rate", 0.0);
-  config.seed = args.number("schedule-seed", 1);
-  config.fin_repeats = static_cast<unsigned>(args.number("fin", 3));
+  config.seed = args.number<std::uint64_t>("schedule-seed", 1);
+  config.fin_repeats = args.number<unsigned>("fin", 3);
 
   // Wire-encode the whole trace up front so the send loop measures the
   // network and the pacing, not the generator.

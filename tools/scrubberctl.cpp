@@ -74,9 +74,9 @@ int cmd_generate(int argc, char** argv) {
                   {"out", "profile", "seed", "minutes", "start", "balanced",
                    "ground-truth"});
   const auto profile = flowgen::profile_by_name(args.get("profile", "us1"));
-  const auto seed = args.number("seed", 42);
-  const auto minutes = static_cast<std::uint32_t>(args.number("minutes", 1440));
-  const auto start = static_cast<std::uint32_t>(args.number("start", 0));
+  const auto seed = args.number<std::uint64_t>("seed", 42);
+  const auto minutes = args.number<std::uint32_t>("minutes", 1440);
+  const auto start = args.number<std::uint32_t>("start", 0);
   const bool balanced = args.get("balanced", "true") != "false";
   const bool ground_truth = args.get("ground-truth", "false") == "true";
   const std::string out_path = args.require("out");
@@ -109,7 +109,7 @@ int cmd_balance(int argc, char** argv) {
   const auto flows = read_flow_file(args.require("in"));
   core::BalanceTotals totals;
   const auto balanced =
-      core::balance_trace(flows, args.number("seed", 1), &totals);
+      core::balance_trace(flows, args.number<std::uint64_t>("seed", 1), &totals);
   write_flow_file(args.require("out"), balanced);
   std::printf("balanced %llu -> %llu flows (blackhole share %.1f%%)\n",
               static_cast<unsigned long long>(totals.raw_flows),
@@ -132,7 +132,7 @@ int cmd_mine(int argc, char** argv) {
   const double accept = args.real("accept", 0.0);
   if (accept > 0.0) {
     const auto accepted = core::accept_rules_above(
-        rules, accept, 0.0, static_cast<std::size_t>(args.number("min-items", 0)));
+        rules, accept, 0.0, args.number<std::size_t>("min-items", 0));
     std::printf("auto-accepted %zu rules at confidence >= %.2f\n", accepted,
                 accept);
   }
@@ -182,7 +182,7 @@ int cmd_classify(int argc, char** argv) {
   std::printf("%zu records: %s\n", dataset.size(), cm.summary().c_str());
 
   // Optional: locally explain the first N positive classifications.
-  const auto explain_n = static_cast<std::size_t>(args.number("explain", 0));
+  const auto explain_n = args.number<std::size_t>("explain", 0);
   if (explain_n > 0) {
     // Reuse the loaded pipeline inside the scrubber for explanation.
     scrubber.pipeline() = std::move(pipeline);
